@@ -175,20 +175,25 @@ class SelfCode(HelpSet):
                 self._codes.append(prev * primes.nth_prime(k) ** (self.abar.value(k) + 1))
             return self._codes[n]
 
-    def member(self, z: int) -> bool:
+    def _digits(self, z: int) -> tuple[int, ...] | None:
+        """The decoded digits of z if z is a member, else None."""
         try:
             digits = decode_prefix_code(z)
         except MalformedCodeElement:
-            return False
-        return digits == self.abar.values(len(digits))
+            return None
+        return digits if digits == self.abar.values(len(digits)) else None
+
+    def member(self, z: int) -> bool:
+        return self._digits(z) is not None
 
     def enumerate(self, n: int) -> int:
         return self._code(n)
 
     def index_of(self, z: int) -> int:
-        if not self.member(z):
+        digits = self._digits(z)
+        if digits is None:
             raise ValueError(f"{z} is not a member")
-        return len(decode_prefix_code(z)) - 1
+        return len(digits) - 1
 
     def config(self) -> dict:
         return {"kind": "selfcode", "abar": self.abar.config()}

@@ -13,6 +13,13 @@ immediate successors:
 
 All values are immutable and every operation is a pure function, so the
 module is safe for concurrent use.
+
+Conditions are validated when constructed publicly or parsed; internal
+operations trust them.  The boundary is the `HechlerCondition(...)`
+constructor, `contains`, `restrict`, `stem_extends_avoiding` and
+`parse_condition`; everything built from a valid condition goes through
+`HechlerCondition._trusted` and the private `_contains`, `_restrict` and
+`_stem_extends_avoiding`, which never re-check a whole stem.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ Node = tuple[int, ...]
 
 
 def as_node(xs) -> Node:
-    node = tuple(int(x) for x in xs)
-    if any(x < 0 for x in node):
+    node = tuple(map(int, xs))
+    if node and min(node) < 0:
         raise ValueError(f"node entries must be naturals: {xs!r}")
     return node
 
@@ -125,7 +132,8 @@ def least_floor_gap(f2: FloorRule | None, f1: FloorRule, from_level: int) -> int
     a2 = f2.slope if f2 else 0
     b2 = f2.intercept if f2 else -1
     if a2 > f1.slope:
-        return None
+        # steeper tail: f2 - f1 grows from `stop` on, so a gap shows there or nowhere
+        return stop if _floor_at(f2, stop) < f1.value(stop) else None
     if a2 == f1.slope:
         return stop if b2 < f1.intercept else None
     # shallower tail: gap opens where (a1-a2)*l > b2-b1
@@ -156,17 +164,24 @@ class HechlerCondition:
             key = as_node(key)
             if not is_prefix(stem, key):
                 raise ValueError(f"exclusion key {key} does not extend stem {stem}")
-            merged.setdefault(key, set()).update(int(z) for z in steps)
-        canon = tuple(
-            (key, tuple(sorted(steps)))
-            for key, steps in sorted(merged.items())
-            if steps
-        )
+            merged.setdefault(key, set()).update(map(int, steps))
+        canon = _canonical_exclusions(merged)
         for _, steps in canon:
             if steps[0] < 0:
                 raise ValueError("excluded steps must be naturals")
         object.__setattr__(self, "stem", stem)
         object.__setattr__(self, "exclusions", canon)
+
+    @classmethod
+    def _trusted(cls, stem: Node, exclusions, floor: FloorRule | None) -> "HechlerCondition":
+        """A condition from parts already known to be valid: `stem` a
+        tuple of naturals, `exclusions` canonical with every key
+        extending `stem`.  Nothing is checked."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "stem", stem)
+        object.__setattr__(T, "exclusions", exclusions)
+        object.__setattr__(T, "floor", floor)
+        return T
 
     def exclusion_at(self, v: Node) -> tuple[int, ...]:
         for key, steps in self.exclusions:
@@ -190,12 +205,24 @@ class HechlerCondition:
         return z
 
 
+def _canonical_exclusions(merged: dict[Node, set[int]]):
+    """Sorted (key, ascending steps) pairs, empty step sets dropped."""
+    return tuple(
+        (key, tuple(sorted(steps)))
+        for key, steps in sorted(merged.items())
+        if steps
+    )
+
+
 FULL_TREE = HechlerCondition()
 
 
 def contains(T: HechlerCondition, u) -> bool:
     """Membership of the node u in the tree described by T."""
-    u = as_node(u)
+    return _contains(T, as_node(u))
+
+
+def _contains(T: HechlerCondition, u: Node) -> bool:
     if is_prefix(u, T.stem):
         return True
     if not is_prefix(T.stem, u):
@@ -211,7 +238,7 @@ def excluded_successors(T: HechlerCondition, t) -> tuple[int, ...]:
     t = as_node(t)
     if not is_prefix(T.stem, t):
         raise ValueError(f"{t} is below the stem {T.stem}")
-    if not contains(T, t):
+    if not _contains(T, t):
         raise ValueError(f"{t} is not in the condition")
     out = set(T.exclusion_at(t))
     out.update(range(0, T.floor_at(len(t)) + 1))
@@ -226,10 +253,15 @@ def restrict(T: HechlerCondition, t) -> HechlerCondition:
     with t constrain nodes outside the restricted tree.
     """
     t = as_node(t)
-    if not contains(T, t):
+    if not _contains(T, t):
         raise ValueError(f"cannot restrict to {t}: not in the condition")
+    return _restrict(T, t)
+
+
+def _restrict(T: HechlerCondition, t: Node) -> HechlerCondition:
+    """`restrict` for a node t already known to lie in T."""
     kept = tuple((k, s) for k, s in T.exclusions if is_prefix(t, k))
-    return HechlerCondition(t, kept, T.floor)
+    return HechlerCondition._trusted(t, kept, T.floor)
 
 
 def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
@@ -241,7 +273,7 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     if not comparable(T1.stem, T2.stem):
         raise ValueError(f"stems {T1.stem} and {T2.stem} are incomparable")
     short, long = (T1, T2) if len(T1.stem) <= len(T2.stem) else (T2, T1)
-    if not contains(short, long.stem):
+    if not _contains(short, long.stem):
         return None
     stem = long.stem
     merged: dict[Node, set[int]] = {}
@@ -255,13 +287,13 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
         floor = T1.floor
     else:
         floor = floor_max(T1.floor, T2.floor)
-    return HechlerCondition(stem, merged, floor)
+    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor)
 
 
 def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
     """Shortest prefix of u missing from T1 (assumes one exists)."""
     for i in range(len(u) + 1):
-        if not contains(T1, u[:i]):
+        if not _contains(T1, u[:i]):
             return u[:i]
     raise AssertionError("no bad prefix found")
 
@@ -314,10 +346,10 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     if len(s2) < len(s1):
         z = T2.least_step(s2, skip=(s1[len(s2)],))
         return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
-    if not contains(T1, s2):
+    if not _contains(T1, s2):
         return ExtendsAnswer(Verdict.NO, witness=_first_bad_prefix(T1, s2))
     for key, steps in T1.exclusions:
-        if not is_prefix(s2, key) or not contains(T2, key):
+        if not is_prefix(s2, key) or not _contains(T2, key):
             continue
         covered = set(excluded_successors(T2, key))
         bad = sorted(set(steps) - covered)
@@ -380,7 +412,7 @@ def extends_bounded(
         u = s2[:i]
         if any(e > width for e in u):
             return None
-        if not contains(T1, u):
+        if not _contains(T1, u):
             return u
     if len(s2) > depth or any(e > width for e in s2):
         return None
@@ -390,12 +422,15 @@ def extends_bounded(
 def stem_extends_avoiding(t2, t1, A) -> bool:
     """t2 extends t1 and every new entry stays outside the help set A
     (A may be None, making the avoidance clause vacuous)."""
-    t2, t1 = as_node(t2), as_node(t1)
+    return _stem_extends_avoiding(as_node(t2), as_node(t1), A)
+
+
+def _stem_extends_avoiding(t2: Node, t1: Node, A) -> bool:
     if not is_prefix(t1, t2):
         return False
     if A is None:
         return True
-    return all(not A.member(z) for z in t2[len(t1):])
+    return not any(map(A.member, t2[len(t1):]))
 
 
 def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
@@ -403,7 +438,7 @@ def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
     inc = extends(T2, T1)
     if inc.verdict is Verdict.NO:
         return ExtendsAnswer(Verdict.NO, witness=inc.witness, reason="inclusion")
-    if not stem_extends_avoiding(T2.stem, T1.stem, A):
+    if not _stem_extends_avoiding(T2.stem, T1.stem, A):
         return ExtendsAnswer(Verdict.NO, reason="stem-avoidance")
     if inc.verdict is Verdict.UNKNOWN:
         return ExtendsAnswer(Verdict.UNKNOWN, reason=inc.reason)
@@ -464,6 +499,9 @@ def parse_condition(text: str) -> HechlerCondition:
                 int(slope_text),
                 int(intercept_text),
             )
+        if not exclusions:
+            # parse_seq yields only naturals, so a bare stem needs no second pass
+            return HechlerCondition._trusted(stem, (), floor)
         return HechlerCondition(stem, exclusions, floor)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed condition text: {text!r}") from exc

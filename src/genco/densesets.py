@@ -29,13 +29,12 @@ from .conditions import (
     HechlerCondition,
     Node,
     Verdict,
+    _restrict,
     as_node,
-    contains,
     floor_gap_witness,
     floor_max,
     least_floor_gap,
     meet,
-    restrict,
 )
 from .errors import FuelExhausted, WitnessStemMismatch
 
@@ -80,7 +79,7 @@ class StemLengthSet(StemBasedDenseSet):
         self.n = n
 
     def member_witness(self, s: Node) -> HechlerCondition | None:
-        return HechlerCondition(s) if len(s) >= self.n else None
+        return HechlerCondition._trusted(s, (), None) if len(s) >= self.n else None
 
     def good_successors(self, s: Node):
         return itertools.count(0)
@@ -104,7 +103,7 @@ class StemHitsSet(StemBasedDenseSet):
         self.k = k
 
     def member_witness(self, s: Node) -> HechlerCondition | None:
-        return HechlerCondition(s) if any(e >= self.k for e in s) else None
+        return HechlerCondition._trusted(s, (), None) if any(e >= self.k for e in s) else None
 
     def good_successors(self, s: Node):
         return itertools.count(self.k)
@@ -176,7 +175,7 @@ class UserStemsSet(StemBasedDenseSet):
 
     def member_witness(self, s: Node) -> HechlerCondition | None:
         if any(p.distance(s) == 0 for p in self.patterns):
-            return HechlerCondition(s)
+            return HechlerCondition._trusted(s, (), None)
         return None
 
     def good_successors(self, s: Node):
@@ -205,7 +204,7 @@ class DominateSet(PruningDenseSet):
 
     def refine(self, T: HechlerCondition) -> HechlerCondition:
         merged = self.floor if T.floor is None else floor_max(T.floor, self.floor)
-        return HechlerCondition(T.stem, T.exclusions, merged)
+        return HechlerCondition._trusted(T.stem, T.exclusions, merged)
 
     def member(self, T: HechlerCondition) -> Verdict:
         base = len(T.stem)
@@ -297,7 +296,8 @@ def extend_in_A(
     witness, the witness is intersected with T restricted to that node;
     otherwise the enumerated progress steps are scanned in ascending
     order for the least one that is a legal step in T and lies outside
-    A.  A may be None, which disables the avoidance clause.
+    A.  A may be None, which disables the avoidance clause.  The walk
+    stays inside T, so each probe tests only its own step.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -318,7 +318,7 @@ def extend_in_A(
                 raise WitnessStemMismatch(
                     f"witness stem {W.stem} differs from requested {t}"
                 )
-            result = meet(W, restrict(T, t))
+            result = meet(W, _restrict(T, t))
             if result is None:
                 raise WitnessStemMismatch("witness incompatible with its own stem")
             return result
@@ -329,7 +329,7 @@ def extend_in_A(
                 raise FuelExhausted(
                     f"no legal avoided successor of {t} within {fuel} probes"
                 )
-            if contains(T, t + (z,)) and (A is None or not A.member(z)):
+            if T.admits_step(t, z) and (A is None or not A.member(z)):
                 t = t + (z,)
                 moved = True
                 break
@@ -344,6 +344,6 @@ def code_step(T: HechlerCondition, A, m: int, fuel: int = DEFAULT_FUEL) -> Hechl
 
     for k in range(fuel):
         z = eta_fiber_element(A, m, k)
-        if contains(T, T.stem + (z,)):
-            return restrict(T, T.stem + (z,))
+        if T.admits_step(T.stem, z):
+            return _restrict(T, T.stem + (z,))
     raise FuelExhausted(f"no legal label-{m} member of the help set within {fuel} probes")

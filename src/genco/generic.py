@@ -19,11 +19,11 @@ from .conditions import (
     FULL_TREE,
     HechlerCondition,
     Verdict,
+    _stem_extends_avoiding,
     extends,
     extends_bounded,
     parse_condition,
     render_condition,
-    stem_extends_avoiding,
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
 from .errors import FuelExhausted, MalformedTranscript
@@ -282,7 +282,7 @@ def verify_transcript(
                 D = roster[e.index % len(roster)]
                 add("meet.member", locus, D.member(e.condition) is Verdict.YES,
                     f"condition not a member of dense set {e.index}")
-            avoid = stem_extends_avoiding(e.condition.stem, prev.stem, A)
+            avoid = _stem_extends_avoiding(e.condition.stem, prev.stem, A)
             add("meet.avoid", locus, avoid,
                 "new stem entries hit the help set")
         else:

@@ -27,29 +27,34 @@ def render_seq(xs) -> str:
 
 
 def parse_seq(text: str) -> tuple[int, ...]:
+    """Parse ``[a,b,c]``; every entry is a nonempty run of digits, so the
+    result holds only naturals."""
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"not a sequence literal: {text!r}")
     body = text[1:-1]
     if not body:
         return ()
-    out = []
-    for part in body.split(","):
-        if not part or not part.isdigit():
-            raise ValueError(f"bad sequence entry {part!r} in {text!r}")
-        out.append(int(part))
-    return tuple(out)
+    parts = body.split(",")
+    if "" in parts or not "".join(parts).isdigit():
+        bad = next(part for part in parts if not part.isdigit())
+        raise ValueError(f"bad sequence entry {bad!r} in {text!r}")
+    return tuple(map(int, parts))
+
+
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def render_bits(bits) -> str:
     """Render a 0/1 sequence as a compact string; ``-`` when empty."""
     if not bits:
         return "-"
-    return "".join(str(b) for b in bits)
+    return bytes(bits).translate(_BITS_TO_TEXT).decode("ascii")
 
 
 def parse_bits(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
-    if not text or any(c not in "01" for c in text):
+    if not text or text.strip("01"):
         raise ValueError(f"bad bit string {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))

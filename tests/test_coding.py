@@ -129,6 +129,19 @@ class TestSelfCode:
         assert not A.member(12)  # valid code of (1,0), but not a prefix
         assert not A.member(9)  # 2 does not divide
 
+    def test_index_of_decodes_once(self, monkeypatch):
+        from genco import coding
+
+        decoded = []
+        real = coding.decode_prefix_code
+        monkeypatch.setattr(coding, "decode_prefix_code", lambda z: decoded.append(z) or real(z))
+        A = SelfCode(EventuallyPeriodicSeq((2, 0, 1), (1,)))
+        assert A.index_of(600) == 2
+        assert decoded == [600]
+        for z in (12, 9, 1):
+            with pytest.raises(ValueError):
+                A.index_of(z)
+
     def test_recover_every_second(self):
         abar = EventuallyPeriodicSeq((2, 0, 1, 1), (1,))
         stream = (selfcode_element(abar, n) for n in range(0, 100, 2))

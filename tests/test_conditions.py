@@ -26,7 +26,7 @@ from genco import (
     restrict,
     stem_extends_avoiding,
 )
-from genco.conditions import comparable, is_prefix
+from genco.conditions import comparable, is_prefix, least_floor_gap
 from conftest import node_in, random_condition
 
 
@@ -220,17 +220,67 @@ class TestExtends:
         assert hits > 50  # random pairs mostly fail inclusion
 
     def test_validity_closed_under_ops(self):
-        # construction re-validates, so it suffices that these don't raise
-        # and that every kept key extends the stem
+        # internal operations build their results unchecked, so each must
+        # equal what the validating public constructor makes of its parts
         rng = random.Random(13)
         for _ in range(60):
             T1 = random_condition(rng)
             T2 = _sibling_condition(rng, T1.stem)
             m = meet(T1, T2)
             if m is not None:
-                assert all(is_prefix(m.stem, k) for k, _ in m.exclusions)
+                assert m == HechlerCondition(m.stem, m.exclusions, m.floor)
             r = restrict(T1, node_in(rng, T1, 1))
-            assert all(is_prefix(r.stem, k) for k, _ in r.exclusions)
+            assert r == HechlerCondition(r.stem, r.exclusions, r.floor)
+
+
+class TestLeastFloorGap:
+    # a steeper tail starting below a flatter one: 2, 2, 3, 4, ... against
+    # 1, 3, 3, 3, ...; the only gap is at level 1
+    f1 = FloorRule((1,), 0, 3)
+    f2 = FloorRule((2,), 1, 1)
+
+    def test_steeper_tail_gap_found(self):
+        assert least_floor_gap(self.f2, self.f1, 0) == 1
+        assert least_floor_gap(self.f2, self.f1, 2) is None
+
+    @settings(max_examples=300)
+    @given(st.none() | floors, floors, st.integers(0, 6))
+    def test_matches_level_scan(self, f2, f1, start):
+        # with these small parameters every gap shows within 64 levels
+        def at(f, level):
+            return -1 if f is None else f.value(level)
+
+        gaps = [n for n in range(start, start + 64) if at(f2, n) < f1.value(n)]
+        assert least_floor_gap(f2, f1, start) == (gaps[0] if gaps else None)
+
+
+class TestBoundary:
+    # validation happens only here; everything inside trusts it
+    T = HechlerCondition((1,), {(1,): (0, 2)})
+
+    @pytest.mark.parametrize(
+        "stem, exclusions",
+        [((-1,), {}), ((1,), {(1, -2): (3,)}), ((1,), {(1,): (-3,)})],
+        ids=["stem", "exclusion-key", "step"],
+    )
+    def test_constructor_rejects_negative(self, stem, exclusions):
+        with pytest.raises(ValueError):
+            HechlerCondition(stem, exclusions)
+
+    @pytest.mark.parametrize("fn", [contains, restrict])
+    def test_node_argument_rejects_negative(self, fn):
+        with pytest.raises(ValueError):
+            fn(self.T, (1, -1))
+        with pytest.raises(ValueError):
+            fn(self.T, (-1,))
+
+    def test_stem_avoidance_rejects_negative(self):
+        with pytest.raises(ValueError):
+            stem_extends_avoiding((1, -1), (1,), None)
+
+    def test_parsed_negative_step_rejected(self):
+        with pytest.raises(ValueError):
+            parse_condition("stem=[];excl{[]:{-1}};floor(-)")
 
 
 class TestExtendsUnknown:

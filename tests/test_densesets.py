@@ -233,6 +233,13 @@ class TestMember:
         T = HechlerCondition((), {(): (1, 2, 3, 4, 5)}, FloorRule((0,), 0, 0))
         assert member(D, T) in (Verdict.UNKNOWN, Verdict.NO)
 
+    def test_dominate_steeper_tail_below(self):
+        # (3, 3) lies in the tree (floor 2, 2, 3, ...) but not in the
+        # refinement (floor 1, 3, 3, ...)
+        D = DominateSet(FloorRule((1,), 0, 3))
+        T = HechlerCondition(floor=FloorRule((2,), 1, 1))
+        assert member(D, T) is Verdict.NO
+
     def test_user_stems(self):
         D = UserStemsSet([StemPattern(2, ((5, 1),))])
         assert member(D, HechlerCondition((6, 0))) is Verdict.YES

@@ -14,6 +14,8 @@ from genco import (
     MalformedTranscript,
     StemHitsSet,
     StemLengthSet,
+    StemPattern,
+    UserStemsSet,
     Verdict,
     build_coded_generic,
     build_plain_generic,
@@ -171,3 +173,47 @@ class TestVerify:
                 assert mutated != text, name
                 report = verify_transcript(roster, A, x, parse_transcript(mutated))
                 assert not report.ok, f"mutation {name} slipped through"
+
+    def test_forged_floor_fails(self):
+        # every floor 1, 3, 3, ... swapped for 2, 2, 3, 4, ...: the chain
+        # stays consistent, but the first meet no longer dominates
+        roster = [DominateSet(FloorRule((1,), 0, 3))]
+        x = EventuallyPeriodicSeq((0, 0, 0), (0,))
+        text = write_transcript(build_coded_generic(roster, EVENS, x, 3))
+        assert verify_transcript(roster, EVENS, x, parse_transcript(text)).ok
+        forged = text.replace("floor(table=[1],a=0,b=3)", "floor(table=[2],a=1,b=1)")
+        assert forged != text
+        report = verify_transcript(roster, EVENS, x, parse_transcript(forged))
+        assert not report.ok
+        assert "meet.member" in {c.check for c in report.failures()}
+
+
+def test_validation_is_linear_in_steps(monkeypatch):
+    # build, write, parse and verify validate node entries only at the
+    # boundary, never whole stems per step
+    from genco import conditions
+
+    validated = []
+    real = conditions.as_node
+
+    def counting(xs):
+        node = real(xs)
+        validated.append(len(node))
+        return node
+
+    monkeypatch.setattr(conditions, "as_node", counting)
+    conditions.contains(FULL_TREE, (4, 5))
+    assert validated == [2]  # the boundary is counted
+    steps = 256
+    roster = [
+        StemLengthSet(2),
+        StemHitsSet(4),
+        DominateSet(FloorRule((1,), 0, 2)),
+        UserStemsSet([StemPattern(1, ((6, 1),))]),
+    ]
+    x = EventuallyPeriodicSeq((0, 1, 2), (3, 0, 1, 2))
+    t = build_coded_generic(roster, EVENS, x, steps)
+    assert len(t.g_prefix) >= steps
+    report = verify_transcript(roster, EVENS, x, parse_transcript(write_transcript(t)))
+    assert report.ok
+    assert sum(validated) - 2 <= 4 * steps
