@@ -17,7 +17,6 @@ from genco import (
     StemHitsSet,
     StemLengthSet,
     extend_in_A,
-    member,
     rank_bounded,
     render_condition,
 )
@@ -44,4 +43,4 @@ print("   hit >= 4 with 5 excluded:", render_condition(R))
 D3 = DominateSet(FloorRule((), 0, 4))
 R = extend_in_A(FULL_TREE, D3, A)
 print("   dominate b=4 prunes in place:", render_condition(R))
-print("   member verdict:", member(D3, R).value)
+print("   member verdict:", D3.member(R).value)

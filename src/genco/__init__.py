@@ -77,10 +77,10 @@ from .densesets import (
     code_step,
     dense_from_config,
     extend_in_A,
-    member,
     rank_bounded,
 )
 from .errors import (
+    ConfigError,
     DenseContractError,
     FuelExhausted,
     GencoError,
@@ -92,8 +92,6 @@ from .generic import (
     RunTranscript,
     VerificationReport,
     build_coded_generic,
-    build_plain_generic,
-    extract_g,
     parse_transcript,
     verify_transcript,
     write_transcript,

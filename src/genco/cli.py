@@ -1,9 +1,10 @@
-"""Batch front end: strict config parsing, dispatch, exit codes.
+"""Batch front end: command dispatch and exit codes.
 
 Exit codes: 0 success / verification passed, 1 verification failure,
 2 config error, 3 fuel exhaustion, 4 I/O error.  Payload goes to
 stdout, diagnostics to stderr.  GENCO_FUEL overrides the default probe
-budget of 100000.
+budget of 100000.  The config schema lives with each family's
+`from_config`; this module reads only the root object.
 """
 
 from __future__ import annotations
@@ -16,22 +17,15 @@ from dataclasses import dataclass
 
 from . import cohenpair, generic
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, help_set_from_config
-from .densesets import DEFAULT_FUEL, DenseSet, dense_from_config, rank_bounded
-from .errors import FuelExhausted, GencoError, MalformedTranscript
-from .serialize import canonical_json, parse_seq, render_bits, render_seq
+from .densesets import DEFAULT_FUEL, DenseSet, StemBasedDenseSet, dense_from_config, rank_bounded
+from .errors import ConfigError, FuelExhausted, MalformedTranscript
+from .serialize import check_keys, nat, parse_seq, render_bits, render_seq
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_FUEL = 3
 EXIT_IO = 4
-
-
-class ConfigError(GencoError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"config error at {path}: {message}")
-        self.path = path
-        self.reason = message
 
 
 def _reject_dupes(pairs):
@@ -43,231 +37,66 @@ def _reject_dupes(pairs):
     return dict(pairs)
 
 
-def _check_keys(obj, path: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-
-
-def _nat(obj, path: str) -> int:
-    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 0:
-        raise ConfigError(path, "expected a natural number")
-    return obj
-
-
-def _nat_list(obj, path: str, nonempty: bool = False) -> list[int]:
-    if not isinstance(obj, list):
-        raise ConfigError(path, "expected a list")
-    if nonempty and not obj:
-        raise ConfigError(path, "must be nonempty")
-    return [_nat(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-
-
-def _bit_list(obj, path: str, nonempty: bool = False) -> list[int]:
-    vals = _nat_list(obj, path, nonempty)
-    for i, v in enumerate(vals):
-        if v not in (0, 1):
-            raise ConfigError(f"{path}[{i}]", "expected a bit (0 or 1)")
-    return vals
-
-
-def _bit_string(obj, path: str) -> str:
-    if not isinstance(obj, str) or not obj or any(c not in "01" for c in obj):
-        raise ConfigError(path, "expected a nonempty 0/1 string")
-    return obj
-
-
-def _seq_config(obj, path: str, bits: bool = False) -> dict:
-    _check_keys(obj, path, {"prefix", "cycle"})
-    check = _bit_list if bits else _nat_list
-    return {
-        "prefix": check(obj["prefix"], f"{path}.prefix"),
-        "cycle": check(obj["cycle"], f"{path}.cycle", nonempty=True),
-    }
-
-
-def _help_config(obj, path: str) -> dict:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(path, "expected a help-set object with a kind")
-    kind = obj["kind"]
-    if kind in ("evens", "primes"):
-        _check_keys(obj, path, {"kind"})
-        return {"kind": kind}
-    if kind == "selfcode":
-        _check_keys(obj, path, {"kind", "abar"})
-        return {"kind": kind, "abar": _seq_config(obj["abar"], f"{path}.abar")}
-    if kind == "explicit":
-        _check_keys(obj, path, {"kind", "prefix", "cycle"})
-        prefix = _bit_list(obj["prefix"], f"{path}.prefix")
-        cycle = _bit_list(obj["cycle"], f"{path}.cycle", nonempty=True)
-        if 1 not in cycle:
-            raise ConfigError(f"{path}.cycle", "pattern describes a finite set")
-        if 0 not in cycle:
-            raise ConfigError(f"{path}.cycle", "pattern describes a cofinite set")
-        return {"kind": kind, "prefix": prefix, "cycle": cycle}
-    raise ConfigError(f"{path}.kind", f"unknown help set kind {kind!r}")
-
-
-def _dense_config(obj, path: str) -> dict:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError(path, "expected a dense-set object with a type")
-    t = obj["type"]
-    if t == "stem_length":
-        _check_keys(obj, path, {"type", "n"})
-        return {"type": t, "n": _nat(obj["n"], f"{path}.n")}
-    if t == "stem_hits":
-        _check_keys(obj, path, {"type", "k"})
-        return {"type": t, "k": _nat(obj["k"], f"{path}.k")}
-    if t == "dominate":
-        _check_keys(obj, path, {"type", "table", "a", "b"})
-        return {
-            "type": t,
-            "table": _nat_list(obj["table"], f"{path}.table"),
-            "a": _nat(obj["a"], f"{path}.a"),
-            "b": _nat(obj["b"], f"{path}.b"),
-        }
-    if t == "user_stems":
-        _check_keys(obj, path, {"type", "patterns"})
-        pats = obj["patterns"]
-        if not isinstance(pats, list) or not pats:
-            raise ConfigError(f"{path}.patterns", "expected a nonempty list")
-        out = []
-        for i, p in enumerate(pats):
-            ppath = f"{path}.patterns[{i}]"
-            _check_keys(p, ppath, set(), {"min_len", "hits"})
-            if not p:
-                raise ConfigError(ppath, "pattern needs min_len or hits")
-            pat: dict = {}
-            if "min_len" in p:
-                pat["min_len"] = _nat(p["min_len"], f"{ppath}.min_len")
-            if "hits" in p:
-                hits = p["hits"]
-                if not isinstance(hits, list) or not hits:
-                    raise ConfigError(f"{ppath}.hits", "expected a nonempty list")
-                pat["hits"] = []
-                for hj, h in enumerate(hits):
-                    hpath = f"{ppath}.hits[{hj}]"
-                    _check_keys(h, hpath, {"k", "count"})
-                    count = _nat(h["count"], f"{hpath}.count")
-                    if count < 1:
-                        raise ConfigError(f"{hpath}.count", "must be at least 1")
-                    pat["hits"].append({"k": _nat(h["k"], f"{hpath}.k"), "count": count})
-            if pat.get("min_len", 0) == 0 and not pat.get("hits"):
-                raise ConfigError(ppath, "pattern matches every stem")
-            out.append(pat)
-        return {"type": t, "patterns": out}
-    raise ConfigError(f"{path}.type", f"unknown dense set type {t!r}")
-
-
-def _cohen_config(obj, path: str) -> dict:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError(path, "expected a dense-set object with a type")
-    t = obj["type"]
-    if t in ("contains", "ends_with"):
-        _check_keys(obj, path, {"type", "w"})
-        return {"type": t, "w": _bit_string(obj["w"], f"{path}.w")}
-    if t == "min_len":
-        _check_keys(obj, path, {"type", "n"})
-        return {"type": t, "n": _nat(obj["n"], f"{path}.n")}
-    raise ConfigError(f"{path}.type", f"unknown cohen dense type {t!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description plus its canonical JSON form."""
+    """A checked run: its poset, its step (or stage) count and the
+    objects built from its config."""
 
     poset: str
-    canonical: dict
-
-    @property
-    def help_config(self) -> dict | None:
-        return self.canonical.get("help")
-
-    @property
-    def target_config(self) -> dict | None:
-        return self.canonical.get("target")
-
-    def help_set(self) -> HelpSet:
-        return help_set_from_config(self.canonical["help"])
-
-    def target(self) -> EventuallyPeriodicSeq:
-        return EventuallyPeriodicSeq.from_config(self.canonical["target"])
+    steps: int
+    dense: tuple
+    help: HelpSet | None = None
+    x: EventuallyPeriodicSeq | None = None
+    dense2: tuple = ()
 
     def roster(self) -> list[DenseSet]:
-        return [dense_from_config(c) for c in self.canonical["dense"]]
+        return list(self.dense)
+
+    def help_set(self) -> HelpSet | None:
+        return self.help
+
+    def target(self) -> EventuallyPeriodicSeq | None:
+        return self.x
 
     def cohen_rosters(self) -> tuple[list, list]:
-        r1 = [cohenpair.cohen_from_config(c) for c in self.canonical["dense"]]
-        r2 = [cohenpair.cohen_from_config(c) for c in self.canonical["dense2"]]
-        return r1, r2
+        return list(self.dense), list(self.dense2)
 
-    @property
-    def steps(self) -> int:
-        return self.canonical.get("steps", self.canonical.get("stages", 0))
+
+def _roster(raw: dict, key: str, from_config) -> tuple:
+    if not isinstance(raw[key], list):
+        raise ConfigError(key, "expected a list")
+    return tuple(from_config(d, f"{key}[{i}]") for i, d in enumerate(raw[key]))
 
 
 def parse_config(text: str) -> RunConfig:
-    """Strict parse of the canonical schema; unknown and duplicate keys
-    are rejected, all paths reported."""
+    """Strict parse of a run config; unknown and duplicate keys are
+    rejected, and every error names the path of its field."""
     try:
         raw = json.loads(text, object_pairs_hook=_reject_dupes)
-    except ConfigError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError("<json>", f"{exc.msg} (line {exc.lineno} column {exc.colno})")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "expected an object")
     poset = raw.get("poset")
     if poset == "hechler":
-        _check_keys(raw, "<root>", {"poset", "help", "dense", "steps"}, {"target", "seed"})
-        canon: dict = {
-            "poset": "hechler",
-            "help": _help_config(raw["help"], "help"),
-            "dense": [
-                _dense_config(d, f"dense[{i}]")
-                for i, d in enumerate(_expect_list(raw["dense"], "dense"))
-            ],
-            "steps": _nat(raw["steps"], "steps"),
-        }
-        if "target" in raw:
-            canon["target"] = _seq_config(raw["target"], "target")
+        check_keys(raw, "<root>", ("poset", "help", "dense", "steps"), ("target", "seed"))
+        A = help_set_from_config(raw["help"], "help")
+        roster = _roster(raw, "dense", dense_from_config)
+        steps = nat(raw["steps"], "steps")
+        x = EventuallyPeriodicSeq.from_config(raw["target"], "target") if "target" in raw else None
         if "seed" in raw:
-            canon["seed"] = _nat(raw["seed"], "seed")
-        return RunConfig("hechler", canon)
+            nat(raw["seed"], "seed")
+        return RunConfig("hechler", steps, roster, A, x)
     if poset == "cohen":
-        _check_keys(raw, "<root>", {"poset", "target", "dense", "dense2", "stages"}, {"seed"})
-        canon = {
-            "poset": "cohen",
-            "target": _seq_config(raw["target"], "target", bits=True),
-            "dense": [
-                _cohen_config(d, f"dense[{i}]")
-                for i, d in enumerate(_expect_list(raw["dense"], "dense"))
-            ],
-            "dense2": [
-                _cohen_config(d, f"dense2[{i}]")
-                for i, d in enumerate(_expect_list(raw["dense2"], "dense2"))
-            ],
-            "stages": _nat(raw["stages"], "stages"),
-        }
+        check_keys(raw, "<root>", ("poset", "target", "dense", "dense2", "stages"), ("seed",))
+        x = EventuallyPeriodicSeq.from_config(raw["target"], "target", bits=True)
+        r1 = _roster(raw, "dense", cohenpair.cohen_from_config)
+        r2 = _roster(raw, "dense2", cohenpair.cohen_from_config)
+        stages = nat(raw["stages"], "stages")
         if "seed" in raw:
-            canon["seed"] = _nat(raw["seed"], "seed")
-        return RunConfig("cohen", canon)
+            nat(raw["seed"], "seed")
+        return RunConfig("cohen", stages, r1, x=x, dense2=r2)
     raise ConfigError("poset", f"expected 'hechler' or 'cohen', got {poset!r}")
-
-
-def _expect_list(obj, path: str) -> list:
-    if not isinstance(obj, list):
-        raise ConfigError(path, "expected a list")
-    return obj
-
-
-def canonical_config(cfg: RunConfig) -> str:
-    return canonical_json(cfg.canonical)
 
 
 def _read(path: str) -> str:
@@ -293,36 +122,24 @@ def _fuel() -> int:
     return fuel
 
 
-def _load_config(path: str) -> RunConfig:
-    return parse_config(_read(path))
-
-
 def _cmd_build(args, out) -> int:
-    cfg = _load_config(args.config)
+    """`build` codes the target into the run; `plain` only meets the roster."""
+    cfg = parse_config(_read(args.config))
     if cfg.poset != "hechler":
-        raise ConfigError("poset", "build requires a hechler config")
-    if cfg.target_config is None:
-        raise ConfigError("target", "build requires a target")
-    t = generic.build_coded_generic(
-        cfg.roster(), cfg.help_set(), cfg.target(), cfg.steps, _fuel()
-    )
-    _write(args.out, generic.write_transcript(t))
-    print(render_seq(t.g_prefix), file=out)
-    return EXIT_OK
-
-
-def _cmd_plain(args, out) -> int:
-    cfg = _load_config(args.config)
-    if cfg.poset != "hechler":
-        raise ConfigError("poset", "plain requires a hechler config")
-    t = generic.build_plain_generic(cfg.roster(), cfg.steps, _fuel())
+        raise ConfigError("poset", f"{args.command} requires a hechler config")
+    A = x = None
+    if args.command == "build":
+        if cfg.target() is None:
+            raise ConfigError("target", "build requires a target")
+        A, x = cfg.help_set(), cfg.target()
+    t = generic.build_coded_generic(cfg.roster(), A, x, cfg.steps, _fuel())
     _write(args.out, generic.write_transcript(t))
     print(render_seq(t.g_prefix), file=out)
     return EXIT_OK
 
 
 def _cmd_cohen(args, out) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(_read(args.config))
     if cfg.poset != "cohen":
         raise ConfigError("poset", "cohen requires a cohen config")
     r1, r2 = cfg.cohen_rosters()
@@ -334,11 +151,7 @@ def _cmd_cohen(args, out) -> int:
 
 
 def _cmd_decode(args, out) -> int:
-    help_cfg = _help_config(
-        json.loads(_read(args.help_config), object_pairs_hook=_reject_dupes),
-        "help",
-    )
-    A = help_set_from_config(help_cfg)
+    A = help_set_from_config(json.loads(_read(args.help_config), object_pairs_hook=_reject_dupes))
     try:
         g = parse_seq(args.g)
     except ValueError as exc:
@@ -347,28 +160,24 @@ def _cmd_decode(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, out, err) -> int:
-    cfg = _load_config(args.config)
+def _cmd_verify(args, out) -> int:
+    cfg = parse_config(_read(args.config))
     text = _read(args.transcript)
+    parse = generic.parse_transcript if cfg.poset == "hechler" else cohenpair.parse_pair_transcript
+    try:
+        t = parse(text)
+    except MalformedTranscript as exc:
+        print(f"FAIL transcript @- {exc}", file=out)
+        print("FAIL", file=out)
+        return EXIT_VERIFY
     if cfg.poset == "hechler":
-        try:
-            t = generic.parse_transcript(text)
-        except MalformedTranscript as exc:
-            print(f"FAIL transcript @- {exc}", file=out)
-            print("FAIL", file=out)
-            return EXIT_VERIFY
+        coded = t.help_config is not None or t.target_config is not None
+        if coded and cfg.target() is None:
+            raise ConfigError("target", "coded transcript needs a target in the config")
         A = cfg.help_set() if t.help_config is not None else None
         x = cfg.target() if t.target_config is not None else None
-        if t.help_config is not None and cfg.target_config is None:
-            raise ConfigError("target", "coded transcript needs a target in the config")
         report = generic.verify_transcript(cfg.roster(), A, x, t)
     else:
-        try:
-            t = cohenpair.parse_pair_transcript(text)
-        except MalformedTranscript as exc:
-            print(f"FAIL transcript @- {exc}", file=out)
-            print("FAIL", file=out)
-            return EXIT_VERIFY
         r1, r2 = cfg.cohen_rosters()
         report = cohenpair.verify_pair(r1, r2, cfg.target(), t)
     for line in report.lines():
@@ -381,15 +190,15 @@ def _cmd_rank(args, out) -> int:
         raw = json.loads(args.dense, object_pairs_hook=_reject_dupes)
     except json.JSONDecodeError as exc:
         raise ConfigError("dense", exc.msg)
-    cfg = _dense_config(raw, "dense")
-    if cfg["type"] == "dominate":
+    D = dense_from_config(raw, "dense")
+    if not isinstance(D, StemBasedDenseSet):
         raise ConfigError("dense", "rank requires a stem-based dense set")
-    D = dense_from_config(cfg)
     try:
         node = parse_seq(args.node)
     except ValueError as exc:
         raise ConfigError("node", str(exc))
-    r = rank_bounded(D, node, args.max_rank, args.width)
+    width = nat(args.width, "width")
+    r = rank_bounded(D, node, args.max_rank, width)
     print("null" if r is None else str(r), file=out)
     return EXIT_OK
 
@@ -432,14 +241,12 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "build":
+        if args.command in ("build", "plain"):
             return _cmd_build(args, out)
-        if args.command == "plain":
-            return _cmd_plain(args, out)
         if args.command == "decode":
             return _cmd_decode(args, out)
         if args.command == "verify":
-            return _cmd_verify(args, out, err)
+            return _cmd_verify(args, out)
         if args.command == "cohen":
             return _cmd_cohen(args, out)
         if args.command == "rank":

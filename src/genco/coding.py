@@ -20,7 +20,8 @@ import threading
 from dataclasses import dataclass
 
 from . import primes
-from .errors import FuelExhausted, MalformedCodeElement
+from .errors import ConfigError, FuelExhausted, MalformedCodeElement
+from .serialize import build_at, check_keys, nat_list
 
 
 def theta(n: int) -> int:
@@ -66,8 +67,12 @@ class EventuallyPeriodicSeq:
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "EventuallyPeriodicSeq":
-        return cls(tuple(cfg["prefix"]), tuple(cfg["cycle"]))
+    def from_config(cls, cfg, path: str = "target", bits: bool = False) -> "EventuallyPeriodicSeq":
+        """Strict inverse of `config`; with `bits`, entries must be 0/1."""
+        check_keys(cfg, path, ("prefix", "cycle"))
+        prefix = nat_list(cfg["prefix"], f"{path}.prefix", bits=bits)
+        cycle = nat_list(cfg["cycle"], f"{path}.cycle", nonempty=True, bits=bits)
+        return cls(tuple(prefix), tuple(cycle))
 
 
 def prefix_code(entries) -> int:
@@ -248,17 +253,24 @@ class ExplicitPeriodic(HelpSet):
         return {"kind": "explicit", "prefix": list(self.prefix), "cycle": list(self.cycle)}
 
 
-def help_set_from_config(cfg: dict) -> HelpSet:
-    kind = cfg.get("kind")
-    if kind == "evens":
-        return Evens()
-    if kind == "primes":
-        return Primes()
+def help_set_from_config(cfg, path: str = "help") -> HelpSet:
+    """Strict inverse of `HelpSet.config`; raises ConfigError at the
+    offending field."""
+    if not isinstance(cfg, dict) or "kind" not in cfg:
+        raise ConfigError(path, "expected a help-set object with a kind")
+    kind = cfg["kind"]
+    if kind in ("evens", "primes"):
+        check_keys(cfg, path, ("kind",))
+        return Evens() if kind == "evens" else Primes()
     if kind == "selfcode":
-        return SelfCode(EventuallyPeriodicSeq.from_config(cfg["abar"]))
+        check_keys(cfg, path, ("kind", "abar"))
+        return SelfCode(EventuallyPeriodicSeq.from_config(cfg["abar"], f"{path}.abar"))
     if kind == "explicit":
-        return ExplicitPeriodic(cfg["prefix"], cfg["cycle"])
-    raise ValueError(f"unknown help set kind {kind!r}")
+        check_keys(cfg, path, ("kind", "prefix", "cycle"))
+        prefix = nat_list(cfg["prefix"], f"{path}.prefix", bits=True)
+        cycle = nat_list(cfg["cycle"], f"{path}.cycle", nonempty=True, bits=True)
+        return build_at(f"{path}.cycle", ExplicitPeriodic, prefix, cycle)
+    raise ConfigError(f"{path}.kind", f"unknown help set kind {kind!r}")
 
 
 def eta(A: HelpSet, z: int) -> int:
@@ -317,10 +329,3 @@ def difference_prefix(B, A, count: int, fuel: int = 100_000) -> list[int]:
         return out
     raise FuelExhausted(f"found {len(out)}/{count} elements outside A within {fuel} probes")
 
-
-def coinfinite_prefix(A, count: int, bound: int) -> list[int]:
-    """First `count` non-members of A below `bound` (fuel-style check)."""
-    out = [z for z in range(bound) if not A.member(z)][:count]
-    if len(out) < count:
-        raise FuelExhausted(f"found only {len(out)} non-members below {bound}")
-    return out

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coding import EventuallyPeriodicSeq
-from .errors import DenseContractError, MalformedTranscript
+from .errors import ConfigError, DenseContractError, MalformedTranscript
 from .generic import CheckResult, VerificationReport
-from .serialize import canonical_json, parse_bits, render_bits, roster_hash
+from .serialize import canonical_json, check_keys, nat, parse_bits, render_bits, roster_hash
 
 Bits = tuple[int, ...]
 
@@ -93,15 +93,25 @@ class EndsWithSet(CohenDense):
         return {"type": "ends_with", "w": render_bits(self.w)}
 
 
-def cohen_from_config(cfg: dict) -> CohenDense:
-    t = cfg.get("type")
-    if t == "contains":
-        return ContainsSet(cfg["w"])
+def cohen_from_config(cfg, path: str = "dense") -> CohenDense:
+    """Strict inverse of `CohenDense.config`; raises ConfigError at the
+    offending field."""
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise ConfigError(path, "expected a dense-set object with a type")
+    t = cfg["type"]
+    if t in ("contains", "ends_with"):
+        check_keys(cfg, path, ("type", "w"))
+        cls = ContainsSet if t == "contains" else EndsWithSet
+        if isinstance(cfg["w"], str):
+            try:
+                return cls(cfg["w"])
+            except ValueError:
+                pass
+        raise ConfigError(f"{path}.w", "expected a nonempty 0/1 string")
     if t == "min_len":
-        return MinLenSet(cfg["n"])
-    if t == "ends_with":
-        return EndsWithSet(cfg["w"])
-    raise ValueError(f"unknown cohen dense type {t!r}")
+        check_keys(cfg, path, ("type", "n"))
+        return MinLenSet(nat(cfg["n"], f"{path}.n"))
+    raise ConfigError(f"{path}.type", f"unknown cohen dense type {t!r}")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .conditions import (
     least_floor_gap,
     meet,
 )
-from .errors import FuelExhausted, WitnessStemMismatch
+from .errors import ConfigError, FuelExhausted, WitnessStemMismatch
+from .serialize import build_at, check_keys, nat, nat_list, nonempty_list
 
 DEFAULT_FUEL = 100_000
 
@@ -118,6 +119,12 @@ class StemHitsSet(StemBasedDenseSet):
         return {"type": "stem_hits", "k": self.k}
 
 
+def _hit_count(count: int) -> int:
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
+
+
 @dataclass(frozen=True)
 class StemPattern:
     """Conjunction of stem requirements: a length bound and counted
@@ -126,6 +133,14 @@ class StemPattern:
 
     min_len: int = 0
     hits: tuple[tuple[int, int], ...] = ()  # (threshold k, required count)
+
+    def __post_init__(self):
+        if self.min_len < 0 or any(k < 0 for k, _ in self.hits):
+            raise ValueError("length bound and thresholds must be naturals")
+        for _, count in self.hits:
+            _hit_count(count)
+        if self.min_len == 0 and not self.hits:
+            raise ValueError("pattern matches every stem")
 
     def deficits(self, s: Node) -> tuple[int, ...]:
         length = max(0, self.min_len - len(s))
@@ -157,18 +172,7 @@ class UserStemsSet(StemBasedDenseSet):
         pats = tuple(patterns)
         if not pats:
             raise ValueError("at least one pattern is required")
-        for p in pats:
-            if p.min_len == 0 and not p.hits:
-                raise ValueError("empty pattern matches everything; drop it")
         self.patterns = pats
-
-    @classmethod
-    def from_pattern_configs(cls, configs) -> "UserStemsSet":
-        pats = []
-        for cfg in configs:
-            hits = tuple((h["k"], h["count"]) for h in cfg.get("hits", ()))
-            pats.append(StemPattern(cfg.get("min_len", 0), hits))
-        return cls(pats)
 
     def _best(self, s: Node) -> StemPattern:
         return min(self.patterns, key=lambda p: p.distance(s))
@@ -224,21 +228,44 @@ class DominateSet(PruningDenseSet):
         }
 
 
-def dense_from_config(cfg: dict) -> DenseSet:
-    t = cfg.get("type")
+def dense_from_config(cfg, path: str = "dense") -> DenseSet:
+    """Strict inverse of `DenseSet.config`; raises ConfigError at the
+    offending field."""
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise ConfigError(path, "expected a dense-set object with a type")
+    t = cfg["type"]
     if t == "stem_length":
-        return StemLengthSet(cfg["n"])
+        check_keys(cfg, path, ("type", "n"))
+        return StemLengthSet(nat(cfg["n"], f"{path}.n"))
     if t == "stem_hits":
-        return StemHitsSet(cfg["k"])
+        check_keys(cfg, path, ("type", "k"))
+        return StemHitsSet(nat(cfg["k"], f"{path}.k"))
     if t == "dominate":
-        return DominateSet(FloorRule(tuple(cfg["table"]), cfg["a"], cfg["b"]))
+        check_keys(cfg, path, ("type", "table", "a", "b"))
+        table = tuple(nat_list(cfg["table"], f"{path}.table"))
+        a, b = nat(cfg["a"], f"{path}.a"), nat(cfg["b"], f"{path}.b")
+        return DominateSet(FloorRule(table, a, b))
     if t == "user_stems":
-        return UserStemsSet.from_pattern_configs(cfg["patterns"])
-    raise ValueError(f"unknown dense set type {t!r}")
+        check_keys(cfg, path, ("type", "patterns"))
+        pats = nonempty_list(cfg["patterns"], f"{path}.patterns")
+        return UserStemsSet(
+            _pattern_from_config(p, f"{path}.patterns[{i}]") for i, p in enumerate(pats)
+        )
+    raise ConfigError(f"{path}.type", f"unknown dense set type {t!r}")
 
 
-def member(D: DenseSet, T: HechlerCondition) -> Verdict:
-    return D.member(T)
+def _pattern_from_config(cfg, path: str) -> StemPattern:
+    check_keys(cfg, path, (), ("min_len", "hits"))
+    if not cfg:
+        raise ConfigError(path, "pattern needs min_len or hits")
+    min_len = nat(cfg["min_len"], f"{path}.min_len") if "min_len" in cfg else 0
+    hits = []
+    for j, h in enumerate(nonempty_list(cfg["hits"], f"{path}.hits") if "hits" in cfg else ()):
+        hpath = f"{path}.hits[{j}]"
+        check_keys(h, hpath, ("k", "count"))
+        count = build_at(f"{hpath}.count", _hit_count, nat(h["count"], f"{hpath}.count"))
+        hits.append((nat(h["k"], f"{hpath}.k"), count))
+    return build_at(path, StemPattern, min_len, tuple(hits))
 
 
 def rank_bounded(

@@ -7,6 +7,16 @@ class GencoError(Exception):
     """Base class for library errors."""
 
 
+class ConfigError(GencoError, ValueError):
+    """A config field is invalid; `path` names the field, `reason` says
+    what is wrong with it."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"config error at {path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class FuelExhausted(GencoError):
     """A search exceeded its probe budget (dishonest oracle or stalled
     enumeration); carries optional context set by the caller."""

@@ -86,80 +86,38 @@ def _roster_configs(roster) -> list[dict]:
 
 def build_coded_generic(
     roster: list[DenseSet],
-    A: HelpSet,
-    x: EventuallyPeriodicSeq,
+    A: HelpSet | None,
+    x: EventuallyPeriodicSeq | None,
     steps: int,
     fuel: int = DEFAULT_FUEL,
 ) -> RunTranscript:
     """Alternate roster meets (avoiding A) with coding steps for the
     first `steps` target values; the roster is cycled when shorter than
-    the run."""
+    the run.  With A = x = None the run only meets the roster: the
+    avoidance clause is vacuous and nothing is coded."""
     if steps < 0:
         raise ValueError("steps must be a natural")
     T = FULL_TREE
     entries: list[TranscriptEntry] = []
     for i in range(steps):
-        if roster:
-            D = roster[i % len(roster)]
-            try:
-                T = extend_in_A(T, D, A, fuel)
-            except FuelExhausted as exc:
-                exc.step = i
-                raise
-            entries.append(TranscriptEntry(MEET, i % len(roster), T))
         try:
-            T = code_step(T, A, x.value(i), fuel)
+            if roster:
+                T = extend_in_A(T, roster[i % len(roster)], A, fuel)
+                entries.append(TranscriptEntry(MEET, i % len(roster), T))
+            if A is not None:
+                T = code_step(T, A, x.value(i), fuel)
+                entries.append(TranscriptEntry(CODE, i, T, z=T.stem[-1]))
         except FuelExhausted as exc:
             exc.step = i
             raise
-        entries.append(TranscriptEntry(CODE, i, T, z=T.stem[-1]))
     return RunTranscript(
         roster_hash=roster_hash(_roster_configs(roster)),
-        help_config=A.config(),
-        target_config=x.config(),
+        help_config=A.config() if A is not None else None,
+        target_config=x.config() if x is not None else None,
         steps=steps,
         entries=tuple(entries),
         g_prefix=T.stem,
     )
-
-
-def build_plain_generic(
-    roster: list[DenseSet], steps: int, fuel: int = DEFAULT_FUEL
-) -> RunTranscript:
-    """Roster meets only, with no help set: the avoidance clause is
-    vacuous and nothing is coded."""
-    if steps < 0:
-        raise ValueError("steps must be a natural")
-    T = FULL_TREE
-    entries: list[TranscriptEntry] = []
-    for i in range(steps):
-        if not roster:
-            break
-        D = roster[i % len(roster)]
-        try:
-            T = extend_in_A(T, D, None, fuel)
-        except FuelExhausted as exc:
-            exc.step = i
-            raise
-        entries.append(TranscriptEntry(MEET, i % len(roster), T))
-    return RunTranscript(
-        roster_hash=roster_hash(_roster_configs(roster)),
-        help_config=None,
-        target_config=None,
-        steps=steps,
-        entries=tuple(entries),
-        g_prefix=T.stem,
-    )
-
-
-def extract_g(t: RunTranscript) -> tuple[int, ...]:
-    """The final condition's stem; must agree with the footer."""
-    final = t.entries[-1].condition.stem if t.entries else ()
-    if final != t.g_prefix:
-        raise MalformedTranscript(
-            f"footer {t.g_prefix} does not match final stem {final}"
-        )
-    return t.g_prefix
 
 
 def write_transcript(t: RunTranscript) -> str:

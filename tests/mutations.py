@@ -6,6 +6,7 @@ result."""
 from __future__ import annotations
 
 from genco import (
+    FloorRule,
     HechlerCondition,
     parse_condition,
     parse_transcript,
@@ -98,12 +99,35 @@ def mutate_roster_hash(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def mutate_dominate_floor(text: str) -> str:
+    """Lower the floor of the first floored MEET condition by one at the
+    level just above its stem, written as a table entry."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("MEET "):
+            _, idx, cond_text = line.split(" ", 2)
+            cond = parse_condition(cond_text)
+            f = cond.floor
+            if f is None:
+                continue
+            level = len(cond.stem)
+            assert f.value(level) >= 1, "floor already 0 above the stem"
+            table = tuple(f.value(n) for n in range(level)) + (f.value(level) - 1,)
+            cond2 = HechlerCondition(
+                cond.stem, cond.exclusions, FloorRule(table, f.slope, f.intercept)
+            )
+            lines[i] = f"MEET {idx} {render_condition(cond2)}"
+            return "\n".join(lines) + "\n"
+    raise AssertionError("no floored MEET condition")
+
+
 ALL_MUTATIONS = {
     "code_z": mutate_code_z,
     "meet_swap": mutate_meet_swap,
     "stale_footer": mutate_stale_footer,
     "stem_in_A": mutate_meet_stem_in_A,
     "roster_hash": mutate_roster_hash,
+    "dominate_floor": mutate_dominate_floor,
 }
 
 

@@ -8,9 +8,11 @@ import random
 import time
 
 from genco import (
+    DominateSet,
     EventuallyPeriodicSeq,
     Evens,
     ExplicitPeriodic,
+    FloorRule,
     Primes,
     SelfCode,
     StemHitsSet,
@@ -22,7 +24,6 @@ from genco import (
     decode_pair,
     difference_prefix,
     extends_A,
-    member,
     rank_bounded,
     recover_from_subset,
     write_transcript,
@@ -58,7 +59,7 @@ def test_criterion_1_coded_generic_round_trip():
         assert decode(A, t.g_prefix) == x.values(64)
         met = set()
         for e in t.entries:
-            if e.kind == "MEET" and member(roster[e.index], e.condition) is Verdict.YES:
+            if e.kind == "MEET" and roster[e.index].member(e.condition) is Verdict.YES:
                 met.add(e.index)
         assert met == set(range(len(roster)))
     _report(1, "coded generic round trip", started, 10.0)
@@ -75,7 +76,7 @@ def test_criterion_2_meet_search_contract():
         A = random_help(rng)
         R = extend_in_A(T, D, A, fuel=100_000)  # FuelExhausted would fail the test
         assert extends_A(R, T, A).verdict is Verdict.YES
-        assert member(D, R) is Verdict.YES
+        assert D.member(R) is Verdict.YES
     _report(2, "meet search contract", started, 5.0)
 
 
@@ -162,7 +163,11 @@ def test_criterion_7_verifier_mutation_robustness(tmp_path):
     rng = random.Random(707)
     caught = 0
     for i in range(50):
-        roster = [StemLengthSet(rng.randrange(2, 5)), StemHitsSet(rng.randrange(3, 9))]
+        roster = [
+            StemLengthSet(rng.randrange(2, 5)),
+            StemHitsSet(rng.randrange(3, 9)),
+            DominateSet(FloorRule((), rng.randrange(2), rng.randrange(1, 6))),
+        ]
         A = random_help(rng)
         x = random_seq(rng)
         t = build_coded_generic(roster, A, x, 4)
@@ -185,7 +190,7 @@ def test_criterion_7_verifier_mutation_robustness(tmp_path):
             )
             assert code == EXIT_VERIFY, f"run {i}: mutation {name} not caught"
             caught += 1
-    assert caught == 250
+    assert caught == 300
     _report(7, "verifier mutation robustness", started, 5.0)
 
 

@@ -13,9 +13,9 @@ from genco.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     ConfigError,
-    canonical_config,
     parse_config,
 )
+from genco.serialize import canonical_json
 from corpus import build_transcript, corpus_paths, run_cli
 
 HECHLER_CFG = {
@@ -25,14 +25,151 @@ HECHLER_CFG = {
     "dense": [{"type": "stem_length", "n": 2}],
     "steps": 4,
 }
+COHEN_CFG = {
+    "poset": "cohen",
+    "target": {"prefix": [1, 0], "cycle": [1]},
+    "dense": [{"type": "contains", "w": "01"}],
+    "dense2": [{"type": "min_len", "n": 6}],
+    "stages": 4,
+}
+
+
+def built_config(run, coded: bool = True) -> dict:
+    """The config of a parsed run, rebuilt from its objects' `config()`."""
+    if run.poset == "cohen":
+        r1, r2 = run.cohen_rosters()
+        return {
+            "poset": "cohen",
+            "target": run.target().config(),
+            "dense": [D.config() for D in r1],
+            "dense2": [D.config() for D in r2],
+            "stages": run.steps,
+        }
+    cfg = {
+        "poset": "hechler",
+        "help": run.help_set().config(),
+        "dense": [D.config() for D in run.roster()],
+        "steps": run.steps,
+    }
+    if coded:
+        cfg["target"] = run.target().config()
+    return cfg
+
+
+def _edit(base: dict, **fields) -> dict:
+    cfg = json.loads(json.dumps(base))
+    cfg.update(fields)
+    return cfg
+
+
+def _dense(*entries) -> dict:
+    return _edit(HECHLER_CFG, dense=list(entries))
+
+
+def _help(help_cfg) -> dict:
+    return _edit(HECHLER_CFG, help=help_cfg)
+
+
+def _cohen(dense=COHEN_CFG["dense"], dense2=COHEN_CFG["dense2"]) -> dict:
+    return _edit(COHEN_CFG, dense=dense, dense2=dense2)
+
+
+# one rejected config per schema check, with the exact path and reason
+REJECTED = [
+    # help sets
+    (_help({"kind": "explicit", "prefix": [], "cycle": [0, 0]}),
+     "help.cycle", "pattern describes a finite set"),
+    (_help({"kind": "explicit", "prefix": [0], "cycle": [1]}),
+     "help.cycle", "pattern describes a cofinite set"),
+    (_help({"kind": "explicit", "prefix": [2], "cycle": [0, 1]}),
+     "help.prefix[0]", "expected a bit (0 or 1)"),
+    (_help({"kind": "explicit", "prefix": [2, -1], "cycle": [0, 1]}),
+     "help.prefix[1]", "expected a natural number"),
+    (_help({"kind": "explicit", "prefix": [], "cycle": []}),
+     "help.cycle", "must be nonempty"),
+    (_help({"kind": "explicit", "cycle": [0, 1]}),
+     "help.prefix", "missing required key"),
+    (_help({"kind": "selfcode", "abar": {"prefix": [1]}}),
+     "help.abar.cycle", "missing required key"),
+    (_help({"kind": "selfcode", "abar": {"prefix": [1], "cycle": []}}),
+     "help.abar.cycle", "must be nonempty"),
+    (_help({"kind": "selfcode", "abar": [1]}), "help.abar", "expected an object"),
+    (_help({"kind": "selfcode", "abar": {"prefix": 1, "cycle": [1]}}),
+     "help.abar.prefix", "expected a list"),
+    (_help({"kind": "evens", "abar": {}}), "help.abar", "unknown key"),
+    (_help({"kind": "odds"}), "help.kind", "unknown help set kind 'odds'"),
+    (_help({"name": "evens"}), "help", "expected a help-set object with a kind"),
+    (_help("evens"), "help", "expected a help-set object with a kind"),
+    # dense sets
+    (_dense({"type": "stem_length", "n": -1}), "dense[0].n", "expected a natural number"),
+    (_dense({"type": "stem_hits", "k": True}), "dense[0].k", "expected a natural number"),
+    (_dense({"type": "stem_length", "n": 1.5}), "dense[0].n", "expected a natural number"),
+    (_dense({"type": "dominate", "table": [1, -2], "a": 0, "b": 1}),
+     "dense[0].table[1]", "expected a natural number"),
+    (_dense({"type": "dominate", "table": [], "a": 0}), "dense[0].b", "missing required key"),
+    (_dense({"type": "user_stems", "patterns": [{}]}),
+     "dense[0].patterns[0]", "pattern needs min_len or hits"),
+    (_dense({"type": "user_stems", "patterns": [{"min_len": 0}]}),
+     "dense[0].patterns[0]", "pattern matches every stem"),
+    (_dense({"type": "user_stems", "patterns": [{"min_len": 2, "hits": []}]}),
+     "dense[0].patterns[0].hits", "expected a nonempty list"),
+    (_dense({"type": "user_stems", "patterns": [{"hits": [{"k": 3, "count": 0}]}]}),
+     "dense[0].patterns[0].hits[0].count", "must be at least 1"),
+    (_dense({"type": "user_stems", "patterns": [{"hits": [{"k": -3, "count": 1}]}]}),
+     "dense[0].patterns[0].hits[0].k", "expected a natural number"),
+    (_dense({"type": "user_stems", "patterns": [{"hits": [{"k": 3}]}]}),
+     "dense[0].patterns[0].hits[0].count", "missing required key"),
+    (_dense({"type": "user_stems", "patterns": [{"min_len": 1, "max_len": 2}]}),
+     "dense[0].patterns[0].max_len", "unknown key"),
+    (_dense({"type": "user_stems", "patterns": []}),
+     "dense[0].patterns", "expected a nonempty list"),
+    (_dense({"type": "stem_length", "n": 1}, {"type": "nope"}),
+     "dense[1].type", "unknown dense set type 'nope'"),
+    (_dense({"n": 1}), "dense[0]", "expected a dense-set object with a type"),
+    (_edit(HECHLER_CFG, dense={}), "dense", "expected a list"),
+    # cohen dense sets
+    (_cohen(dense=[{"type": "contains", "w": "012"}]),
+     "dense[0].w", "expected a nonempty 0/1 string"),
+    (_cohen(dense=[{"type": "ends_with", "w": ""}]),
+     "dense[0].w", "expected a nonempty 0/1 string"),
+    (_cohen(dense=[{"type": "ends_with", "w": "-"}]),
+     "dense[0].w", "expected a nonempty 0/1 string"),
+    (_cohen(dense=[{"type": "contains", "w": [0, 1]}]),
+     "dense[0].w", "expected a nonempty 0/1 string"),
+    (_cohen(dense2=[{"type": "min_len", "n": -4}]), "dense2[0].n", "expected a natural number"),
+    (_cohen(dense2=[{"type": "nope"}]), "dense2[0].type", "unknown cohen dense type 'nope'"),
+    # the root
+    (_edit(HECHLER_CFG, target={"prefix": [], "cycle": [1], "x": 1}), "target.x", "unknown key"),
+    (_edit(HECHLER_CFG, steps=-1), "steps", "expected a natural number"),
+    (_edit(HECHLER_CFG, seed="1"), "seed", "expected a natural number"),
+    (_edit(HECHLER_CFG, poset="other"), "poset", "expected 'hechler' or 'cohen', got 'other'"),
+    (_edit(COHEN_CFG, target={"prefix": [1], "cycle": [2]}),
+     "target.cycle[0]", "expected a bit (0 or 1)"),
+    (_edit(COHEN_CFG, help={"kind": "evens"}), "<root>.help", "unknown key"),
+]
 
 
 class TestParseConfig:
+    @pytest.mark.parametrize("cfg,path,reason", REJECTED, ids=[f"{p}:{r}" for _, p, r in REJECTED])
+    def test_rejected_with_path_and_reason(self, cfg, path, reason):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(cfg))
+        assert (info.value.path, info.value.reason) == (path, reason)
+
+    def test_corpus_parses_to_its_own_config(self):
+        for path in corpus_paths():
+            raw = json.loads(path.read_text())
+            run = parse_config(path.read_text())
+            built = built_config(run, coded="target" in raw)
+            assert built == raw, path.name
+            again = parse_config(canonical_json(built))
+            assert built_config(again, coded="target" in raw) == built, path.name
+
     def test_minimal_round_trip(self):
-        cfg = parse_config(json.dumps(HECHLER_CFG))
-        text = canonical_config(cfg)
-        again = parse_config(text)
-        assert canonical_config(again) == text
+        for raw in (HECHLER_CFG, COHEN_CFG):
+            built = built_config(parse_config(json.dumps(raw)))
+            assert built == raw
+            assert built_config(parse_config(canonical_json(built))) == built
 
     def test_negative_rejected_with_path(self):
         bad = dict(HECHLER_CFG, dense=[{"type": "stem_length", "n": -1}])
@@ -104,6 +241,13 @@ class TestCommands:
              "--max-rank", "3", "--width", "4"]
         )
         assert code == EXIT_OK and out == "null\n"
+
+    def test_rank_rejects_negative_width(self):
+        code, out, err = run_cli(
+            ["rank", "--dense", '{"type":"stem_length","n":3}', "--node", "[7]", "--width", "-1"]
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error at width: expected a natural number\n"
 
     def test_rank_rejects_pruning(self):
         code, out, err = run_cli(

@@ -26,7 +26,6 @@ from genco import (
     extends,
     extends_A,
     eta,
-    member,
     rank_bounded,
 )
 from genco.densesets import StemBasedDenseSet
@@ -116,14 +115,14 @@ class TestExtendInA:
     def test_stem_length_descent(self):
         R = extend_in_A(FULL_TREE, StemLengthSet(2), EVENS)
         assert R.stem == (1, 1)
-        assert member(StemLengthSet(2), R) is Verdict.YES
+        assert StemLengthSet(2).member(R) is Verdict.YES
 
     def test_dominate_keeps_stem(self):
         D = DominateSet(FloorRule((), 0, 4))
         R = extend_in_A(FULL_TREE, D, EVENS)
         assert R.stem == ()
         assert R.floor is not None and R.floor.value(3) == 4
-        assert member(D, R) is Verdict.YES
+        assert D.member(R) is Verdict.YES
 
     def test_exclusion_is_dodged(self):
         T = HechlerCondition((), {(): (5,)})
@@ -138,7 +137,7 @@ class TestExtendInA:
             A = random_help(rng)
             R = extend_in_A(T, D, A, fuel=100_000)
             assert extends_A(R, T, A).verdict is Verdict.YES
-            assert member(D, R) is Verdict.YES
+            assert D.member(R) is Verdict.YES
 
     def test_plain_mode_takes_least_steps(self):
         R = extend_in_A(FULL_TREE, StemLengthSet(2), None)
@@ -215,36 +214,36 @@ class TestCodeStep:
 
 class TestMember:
     def test_stem_length(self):
-        assert member(StemLengthSet(2), HechlerCondition((1, 1))) is Verdict.YES
-        assert member(StemLengthSet(2), HechlerCondition((1,))) is Verdict.NO
+        assert StemLengthSet(2).member(HechlerCondition((1, 1))) is Verdict.YES
+        assert StemLengthSet(2).member(HechlerCondition((1,))) is Verdict.NO
 
     def test_dominate_dominated(self):
         D = DominateSet(FloorRule((), 0, 4))
         T = HechlerCondition((), {}, FloorRule((), 0, 6))
-        assert member(D, T) is Verdict.YES
+        assert D.member(T) is Verdict.YES
 
     def test_dominate_violation_found(self):
-        assert member(DominateSet(FloorRule((), 0, 4)), FULL_TREE) is Verdict.NO
+        assert DominateSet(FloorRule((), 0, 4)).member(FULL_TREE) is Verdict.NO
 
     def test_dominate_masked_is_unknown(self):
         # the only sub-floor steps at the stem are excluded by atoms, and
         # the one-node-deep picture stays masked along every variant path
         D = DominateSet(FloorRule((5,), 0, 0))
         T = HechlerCondition((), {(): (1, 2, 3, 4, 5)}, FloorRule((0,), 0, 0))
-        assert member(D, T) in (Verdict.UNKNOWN, Verdict.NO)
+        assert D.member(T) in (Verdict.UNKNOWN, Verdict.NO)
 
     def test_dominate_steeper_tail_below(self):
         # (3, 3) lies in the tree (floor 2, 2, 3, ...) but not in the
         # refinement (floor 1, 3, 3, ...)
         D = DominateSet(FloorRule((1,), 0, 3))
         T = HechlerCondition(floor=FloorRule((2,), 1, 1))
-        assert member(D, T) is Verdict.NO
+        assert D.member(T) is Verdict.NO
 
     def test_user_stems(self):
         D = UserStemsSet([StemPattern(2, ((5, 1),))])
-        assert member(D, HechlerCondition((6, 0))) is Verdict.YES
-        assert member(D, HechlerCondition((6,))) is Verdict.NO
-        assert member(D, HechlerCondition((0, 0))) is Verdict.NO
+        assert D.member(HechlerCondition((6, 0))) is Verdict.YES
+        assert D.member(HechlerCondition((6,))) is Verdict.NO
+        assert D.member(HechlerCondition((0, 0))) is Verdict.NO
 
     def test_refine_is_member_with_same_stem(self):
         rng = random.Random(15)
@@ -254,7 +253,7 @@ class TestMember:
             D = DominateSet(FloorRule(table, rng.randrange(2), rng.randrange(6)))
             R = D.refine(T)
             assert R.stem == T.stem
-            assert member(D, R) is Verdict.YES
+            assert D.member(R) is Verdict.YES
             assert extends(R, T).verdict is Verdict.YES
 
 
@@ -268,3 +267,12 @@ class TestConfigs:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             dense_from_config({"type": "nope"})
+
+    def test_stem_pattern_rejects_what_its_config_rejects(self):
+        # a count of 0 is met by every stem, so the set would hold every
+        # condition; negative bounds are not naturals
+        for min_len, hits in ((0, ((3, 0),)), (2, ((3, -1),)), (-1, ()), (0, ((-3, 1),)), (0, ())):
+            with pytest.raises(ValueError):
+                StemPattern(min_len, hits)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            UserStemsSet([StemPattern(0, ((3, 0),))])

@@ -18,11 +18,8 @@ from genco import (
     UserStemsSet,
     Verdict,
     build_coded_generic,
-    build_plain_generic,
     decode,
     extends_A,
-    extract_g,
-    member,
     parse_transcript,
     verify_transcript,
     write_transcript,
@@ -57,9 +54,9 @@ class TestBuild:
         assert t.g_prefix == () and t.entries == ()
 
     def test_plain_traces(self):
-        assert build_plain_generic([StemLengthSet(2)], 1).g_prefix == (0, 0)
-        assert build_plain_generic([StemHitsSet(3)], 1).g_prefix == (3,)
-        assert build_plain_generic([StemHitsSet(3)], 0).g_prefix == ()
+        assert build_coded_generic([StemLengthSet(2)], None, None, 1).g_prefix == (0, 0)
+        assert build_coded_generic([StemHitsSet(3)], None, None, 1).g_prefix == (3,)
+        assert build_coded_generic([StemHitsSet(3)], None, None, 0).g_prefix == ()
 
     def test_alternation(self):
         # meets extend silently; code steps deliberately hit the help set
@@ -89,7 +86,7 @@ class TestBuild:
             assert decode(A, t.g_prefix) == x.values(steps)
             met = set()
             for e in t.entries:
-                if e.kind == "MEET" and member(roster[e.index], e.condition) is Verdict.YES:
+                if e.kind == "MEET" and roster[e.index].member(e.condition) is Verdict.YES:
                     met.add(e.index)
             assert met == set(range(len(roster)))
 
@@ -113,15 +110,6 @@ class TestTranscriptText:
             b = build_coded_generic(random_roster(rng2, 4), random_help(rng2), random_seq(rng2), 6)
             assert write_transcript(a) == write_transcript(b)
 
-    def test_extract_g(self):
-        t = build_coded_generic([StemLengthSet(1)], EVENS, ONES, 2)
-        assert extract_g(t) == t.g_prefix
-        stale = type(t)(
-            t.roster_hash, t.help_config, t.target_config, t.steps, t.entries, (9, 9)
-        )
-        with pytest.raises(MalformedTranscript):
-            extract_g(stale)
-
     def test_malformed_text_rejected(self):
         good = write_transcript(build_coded_generic([StemLengthSet(1)], EVENS, ONES, 1))
         for bad in ("", "ROSTER x\n", good.replace("STEPS", "STEP"), good + "EXTRA\n"):
@@ -144,7 +132,7 @@ class TestVerify:
         rng = random.Random(78)
         for _ in range(10):
             roster = random_roster(rng, 5)
-            t = build_plain_generic(roster, 12)
+            t = build_coded_generic(roster, None, None, 12)
             report = verify_transcript(roster, None, None, t)
             assert report.ok, report.failures()
 
@@ -163,7 +151,11 @@ class TestVerify:
     def test_every_mutation_caught(self):
         rng = random.Random(2718)
         for _ in range(12):
-            roster = [StemLengthSet(rng.randrange(2, 5)), StemHitsSet(rng.randrange(3, 9))]
+            roster = [
+                StemLengthSet(rng.randrange(2, 5)),
+                StemHitsSet(rng.randrange(3, 9)),
+                DominateSet(FloorRule((), rng.randrange(2), rng.randrange(1, 6))),
+            ]
             A = random_help(rng)
             x = random_seq(rng)
             t = build_coded_generic(roster, A, x, 5)
