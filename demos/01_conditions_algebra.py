@@ -13,7 +13,6 @@ from genco import (
     contains,
     excluded_successors,
     extends,
-    extends_bounded,
     meet,
     render_condition,
     restrict,
@@ -40,9 +39,11 @@ print("  ", render_condition(M))
 print("   floor values at levels 0..5:", [M.floor.value(n) for n in range(6)])
 
 print()
-print("inclusion is decided syntactically, with witnesses on failure:")
+print("inclusion is decided exactly: yes, or no with a witness node:")
 print("   extends(R, T):", extends(R, T).verdict.value)
 bad = extends(FULL_TREE, HechlerCondition(exclusions={(): {4}}))
 print("   full tree vs atom at root:", bad.verdict.value, "witness", bad.witness)
-print("   bounded cross-check finds:", extends_bounded(
-    FULL_TREE, HechlerCondition(exclusions={(): {4}}), depth=2, width=8))
+# a lower floor at the stem, with every step it lets through excluded by atoms
+masked = HechlerCondition(exclusions={(): {1, 2, 3, 4, 5}}, floor=FloorRule((0,), 0, 0))
+print("   atoms masking a lower floor at the stem:",
+      extends(masked, HechlerCondition(floor=FloorRule((5,), 0, 0))).verdict.value)

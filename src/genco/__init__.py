@@ -57,7 +57,6 @@ from .conditions import (
     excluded_successors,
     extends,
     extends_A,
-    extends_bounded,
     meet,
     parse_condition,
     render_condition,

@@ -37,6 +37,14 @@ def _reject_dupes(pairs):
     return dict(pairs)
 
 
+def _load_json(text: str, path: str):
+    """Strict JSON: a syntax error or a duplicate key is a ConfigError."""
+    try:
+        return json.loads(text, object_pairs_hook=_reject_dupes)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(path, f"{exc.msg} (line {exc.lineno} column {exc.colno})")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run: its poset, its step (or stage) count and the
@@ -71,10 +79,7 @@ def _roster(raw: dict, key: str, from_config) -> tuple:
 def parse_config(text: str) -> RunConfig:
     """Strict parse of a run config; unknown and duplicate keys are
     rejected, and every error names the path of its field."""
-    try:
-        raw = json.loads(text, object_pairs_hook=_reject_dupes)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<json>", f"{exc.msg} (line {exc.lineno} column {exc.colno})")
+    raw = _load_json(text, "<json>")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "expected an object")
     poset = raw.get("poset")
@@ -151,7 +156,7 @@ def _cmd_cohen(args, out) -> int:
 
 
 def _cmd_decode(args, out) -> int:
-    A = help_set_from_config(json.loads(_read(args.help_config), object_pairs_hook=_reject_dupes))
+    A = help_set_from_config(_load_json(_read(args.help_config), "<json>"))
     try:
         g = parse_seq(args.g)
     except ValueError as exc:
@@ -186,19 +191,14 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_rank(args, out) -> int:
-    try:
-        raw = json.loads(args.dense, object_pairs_hook=_reject_dupes)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("dense", exc.msg)
-    D = dense_from_config(raw, "dense")
+    D = dense_from_config(_load_json(args.dense, "dense"), "dense")
     if not isinstance(D, StemBasedDenseSet):
         raise ConfigError("dense", "rank requires a stem-based dense set")
     try:
         node = parse_seq(args.node)
     except ValueError as exc:
         raise ConfigError("node", str(exc))
-    width = nat(args.width, "width")
-    r = rank_bounded(D, node, args.max_rank, width)
+    r = rank_bounded(D, node, nat(args.max_rank, "max-rank"), nat(args.width, "width"))
     print("null" if r is None else str(r), file=out)
     return EXIT_OK
 

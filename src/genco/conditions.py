@@ -48,7 +48,6 @@ def comparable(a: Node, b: Node) -> bool:
 class Verdict(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,6 @@ def floor_max(f: FloorRule, g: FloorRule) -> FloorRule:
 def _floor_at(floor: FloorRule | None, level: int) -> int:
     # -1 means "no bound": every natural step passes
     return -1 if floor is None else floor.value(level)
-
-
-def floor_dominates(f2: FloorRule | None, f1: FloorRule, from_level: int) -> bool:
-    """True iff f2(l) >= f1(l) for every level l >= from_level."""
-    if f2 is None:
-        return False
-    base = max(from_level, 0)
-    stop = max(len(f1.table), len(f2.table), base)
-    for n in range(base, stop):
-        if f2.value(n) < f1.value(n):
-            return False
-    if f2.slope < f1.slope:
-        return False
-    return f2.value(stop) >= f1.value(stop)
 
 
 def least_floor_gap(f2: FloorRule | None, f1: FloorRule, from_level: int) -> int | None:
@@ -298,47 +283,40 @@ def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
     raise AssertionError("no bad prefix found")
 
 
-def floor_gap_witness(
-    T2: HechlerCondition, f1: FloorRule, start_level: int
-) -> Node | None:
-    """A node of T2 whose last step is <= f1 at its level, if one is
-    found near the first level where T2's floor fails to dominate f1.
+def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
+    """A node of T whose last step, taken at or above the stem, is <= f
+    at its level; None iff there is none, i.e. every step of T clears f.
 
-    Walks least-step paths from T2's stem, trying a few sibling variants
-    to dodge exclusion atoms; returns None when atoms mask every
-    candidate (the caller then reports Unknown).
+    At the stem level the stem is the only node, so each sub-floor step
+    is tried there.  Every higher level has infinitely many nodes but
+    finitely many atom keys, so the first floor gap above the stem shows
+    at the least-step node that carries no atom.
     """
-    gap = least_floor_gap(T2.floor, f1, start_level)
+    s = T.stem
+    gap = least_floor_gap(T.floor, f, len(s))
+    if gap == len(s):
+        for z in range(T.floor_at(gap) + 1, f.value(gap) + 1):
+            if T.admits_step(s, z):
+                return s + (z,)
+        gap = least_floor_gap(T.floor, f, gap + 1)
     if gap is None:
         return None
-    variants = len(T2.exclusions) + 2
-    for level in range(gap, gap + variants + 4):
-        if _floor_at(T2.floor, level) >= f1.value(level):
-            continue
-        for variant in range(variants if level > start_level else 1):
-            v = T2.stem
-            while len(v) < level - 1:
-                v = v + (T2.least_step(v),)
-            if len(v) < level:
-                skip: list[int] = []
-                for _ in range(variant):
-                    skip.append(T2.least_step(v, skip))
-                v = v + (T2.least_step(v, skip),)
-            lo, hi = _floor_at(T2.floor, level), f1.value(level)
-            for z in range(lo + 1, hi + 1):
-                if T2.admits_step(v, z):
-                    return v + (z,)
-    return None
+    v = s
+    while len(v) < gap - 1:
+        v = v + (T.least_step(v),)
+    # the last step dodges the atom keys at level `gap`, so no atom masks
+    # the sub-floor step after it
+    keyed = [k[-1] for k, _ in T.exclusions if len(k) == gap and k[:-1] == v]
+    return v + (T.least_step(v, keyed), T.floor_at(gap) + 1)
 
 
 def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
-    """Decide T2 <= T1 (inclusion of the described trees) syntactically.
+    """Decide T2 <= T1 (inclusion of the described trees) exactly.
 
     Yes requires the stem of T2 to lie in T1, every exclusion atom of T1
-    at or above that stem to be covered by T2's constraints, and T2's
-    floor to dominate T1's pointwise.  No carries a witness node in
-    T2 - T1.  Unknown arises only when a floor deficit is masked by
-    exclusion atoms in a non-syntactic way.
+    at or above that stem to be covered by T2's constraints, and no step
+    of T2 at or above its stem to fall to or below T1's floor.  No
+    carries a witness node in T2 - T1.
     """
     s2, s1 = T2.stem, T1.stem
     if not comparable(s2, s1):
@@ -355,68 +333,11 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         bad = sorted(set(steps) - covered)
         if bad:
             return ExtendsAnswer(Verdict.NO, witness=key + (bad[0],))
-    if T1.floor is not None and not floor_dominates(T2.floor, T1.floor, len(s2)):
-        witness = floor_gap_witness(T2, T1.floor, len(s2))
+    if T1.floor is not None:
+        witness = floor_gap_witness(T2, T1.floor)
         if witness is not None:
             return ExtendsAnswer(Verdict.NO, witness=witness)
-        return ExtendsAnswer(Verdict.UNKNOWN, reason="floor deficit masked by atoms")
     return ExtendsAnswer(Verdict.YES)
-
-
-def extends_bounded(
-    T2: HechlerCondition, T1: HechlerCondition, depth: int, width: int
-) -> Node | None:
-    """First node (depth-first preorder, ascending steps) of length <=
-    depth with entries <= width lying in T2 but not in T1; None if the
-    bounded universe is consistent with T2 <= T1.
-
-    Exact over the bounded universe: subtrees where both conditions are
-    atom-free and T2's floor dominates T1's are skipped wholesale.
-    """
-    s2 = T2.stem
-
-    def t1_admits(u: Node) -> bool:
-        v, z = u[:-1], u[-1]
-        if is_prefix(u, T1.stem):
-            return True
-        if not is_prefix(T1.stem, u):
-            return False
-        return T1.admits_step(v, z)
-
-    def subtree_included(v: Node) -> bool:
-        # sound prune: below v both trees are atom-free on the T1 side
-        # and T2's floor admits only steps T1's floor admits too
-        if not (is_prefix(s2, v) and is_prefix(T1.stem, v)):
-            return False
-        if any(is_prefix(v, k) for k, _ in T1.exclusions):
-            return False
-        return all(
-            _floor_at(T2.floor, n) >= _floor_at(T1.floor, n)
-            for n in range(len(v), depth)
-        )
-
-    def dfs(v: Node) -> Node | None:
-        if len(v) >= depth or subtree_included(v):
-            return None
-        for z in (z for z in range(width + 1) if T2.admits_step(v, z)):
-            u = v + (z,)
-            if not t1_admits(u):
-                return u
-            found = dfs(u)
-            if found is not None:
-                return found
-        return None
-
-    # prefixes of the stem come first in preorder along the unique path
-    for i in range(min(len(s2), depth) + 1):
-        u = s2[:i]
-        if any(e > width for e in u):
-            return None
-        if not _contains(T1, u):
-            return u
-    if len(s2) > depth or any(e > width for e in s2):
-        return None
-    return dfs(s2)
 
 
 def stem_extends_avoiding(t2, t1, A) -> bool:
@@ -436,12 +357,10 @@ def _stem_extends_avoiding(t2: Node, t1: Node, A) -> bool:
 def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
     """Conjunction of extends(T2, T1) and stem avoidance of A."""
     inc = extends(T2, T1)
-    if inc.verdict is Verdict.NO:
+    if not inc:
         return ExtendsAnswer(Verdict.NO, witness=inc.witness, reason="inclusion")
     if not _stem_extends_avoiding(T2.stem, T1.stem, A):
         return ExtendsAnswer(Verdict.NO, reason="stem-avoidance")
-    if inc.verdict is Verdict.UNKNOWN:
-        return ExtendsAnswer(Verdict.UNKNOWN, reason=inc.reason)
     return ExtendsAnswer(Verdict.YES)
 
 

@@ -33,7 +33,6 @@ from .conditions import (
     as_node,
     floor_gap_witness,
     floor_max,
-    least_floor_gap,
     meet,
 )
 from .errors import ConfigError, FuelExhausted, WitnessStemMismatch
@@ -211,13 +210,7 @@ class DominateSet(PruningDenseSet):
         return HechlerCondition._trusted(T.stem, T.exclusions, merged)
 
     def member(self, T: HechlerCondition) -> Verdict:
-        base = len(T.stem)
-        if least_floor_gap(T.floor, self.floor, base) is None:
-            return Verdict.YES
-        witness = floor_gap_witness(T, self.floor, base)
-        if witness is not None:
-            return Verdict.NO
-        return Verdict.UNKNOWN
+        return Verdict.YES if floor_gap_witness(T, self.floor) is None else Verdict.NO
 
     def config(self) -> dict:
         return {

@@ -249,6 +249,23 @@ class TestCommands:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "config error at width: expected a natural number\n"
 
+    def test_rank_rejects_negative_max_rank(self):
+        code, out, err = run_cli(
+            ["rank", "--dense", '{"type":"stem_length","n":3}', "--node", "[7]", "--max-rank", "-5"]
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error at max-rank: expected a natural number\n"
+
+    def test_decode_reports_malformed_json(self, tmp_path):
+        hf = tmp_path / "help.json"
+        hf.write_text("{")
+        code, out, err = run_cli(["decode", "--help-config", str(hf), "--g", "[5]"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            "config error at <json>: Expecting property name enclosed in double quotes"
+            " (line 1 column 2)\n"
+        )
+
     def test_rank_rejects_pruning(self):
         code, out, err = run_cli(
             ["rank", "--dense", '{"type":"dominate","table":[],"a":0,"b":1}',

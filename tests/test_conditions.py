@@ -13,13 +13,13 @@ from genco import (
     FULL_TREE,
     Evens,
     FloorRule,
+    DominateSet,
     HechlerCondition,
     Verdict,
     contains,
     excluded_successors,
     extends,
     extends_A,
-    extends_bounded,
     meet,
     parse_condition,
     render_condition,
@@ -28,6 +28,7 @@ from genco import (
 )
 from genco.conditions import comparable, is_prefix, least_floor_gap
 from conftest import node_in, random_condition
+from oracles import extends_bounded
 
 
 def _sibling_condition(rng, base_stem):
@@ -283,17 +284,81 @@ class TestBoundary:
             parse_condition("stem=[];excl{[]:{-1}};floor(-)")
 
 
-class TestExtendsUnknown:
-    # floor deficit at the stem level only, fully masked by atoms: the
-    # inclusion actually holds, but no syntactic dominance shows it
+class TestExtendsMasked:
+    # floor deficit at the stem level only, fully masked by atoms: no
+    # floor dominance shows the inclusion, yet it holds
     T1 = HechlerCondition((), {}, FloorRule((5,), 0, 0))
     T2 = HechlerCondition((), {(): (1, 2, 3, 4, 5)}, FloorRule((0,), 0, 0))
 
-    def test_masked_deficit_is_unknown(self):
-        assert extends(self.T2, self.T1).verdict is Verdict.UNKNOWN
+    def test_masked_deficit_is_yes(self):
+        assert extends(self.T2, self.T1).verdict is Verdict.YES
 
-    def test_bounded_fallback_resolves(self):
+    def test_oracle_agrees(self):
         assert extends_bounded(self.T2, self.T1, 6, 64) is None
+
+    def test_deep_gap_behind_masked_stem_witnessed(self):
+        # the stem-level deficit is masked, but the floor falls short again
+        # at level 12, deeper than any fixed window of levels
+        T1 = HechlerCondition((), {}, FloorRule((5, 5) + (0,) * 10 + (9,), 0, 0))
+        T2 = HechlerCondition((6,), {(6,): (1, 2, 3, 4, 5)}, FloorRule((), 0, 0))
+        ans = extends(T2, T1)
+        assert ans.verdict is Verdict.NO
+        assert ans.witness == (6, 6) + (1,) * 11
+        assert contains(T2, ans.witness) and not contains(T1, ans.witness)
+
+
+def _masked_pair(rng):
+    """T1 with a floor, and T2 whose stem lies in T1 and whose floor
+    falls short of T1's at that stem, with atoms there over all (or all
+    but one) of the sub-floor steps.  T2 mostly inherits T1's atoms and
+    keeps its floor elsewhere, so the floor decides most pairs; now and
+    then a deeper level falls short too."""
+    T1 = random_condition(rng, max_stem=2, max_entry=6)
+    floor = FloorRule(
+        tuple(rng.randrange(6) for _ in range(rng.randrange(4))),
+        rng.randrange(2),
+        rng.randrange(1, 6),
+    )
+    T1 = HechlerCondition(T1.stem, T1.exclusions, floor)
+    s = node_in(rng, T1, rng.randrange(3))
+    level = len(s)
+    table = [floor.value(n) for n in range(level + 4)]
+    table[level] = rng.randrange(table[level] + 1)
+    if rng.random() < 0.3:
+        deeper = rng.randrange(level + 1, level + 4)
+        table[deeper] = rng.randrange(table[deeper] + 1)
+    f2 = FloorRule(tuple(table), floor.slope, floor.intercept + rng.randrange(2))
+    masked = set(range(f2.value(level) + 1, floor.value(level) + 1))
+    if masked and rng.random() < 0.3:
+        masked.discard(rng.choice(sorted(masked)))
+    excl = {s: masked}
+    for key, steps in T1.exclusions:
+        if is_prefix(s, key) and rng.random() < 0.9:
+            excl.setdefault(key, set()).update(steps)
+    for _ in range(rng.randrange(3)):
+        key = s + tuple(rng.randrange(4) for _ in range(rng.randrange(1, 3)))
+        excl.setdefault(key, set()).update(rng.randrange(6) for _ in range(2))
+    return T1, HechlerCondition(s, excl, f2)
+
+
+class TestExtendsDifferential:
+    def test_masked_pairs_against_oracle(self):
+        rng = random.Random(29)
+        masked_yes = 0
+        for _ in range(400):
+            T1, T2 = _masked_pair(rng)
+            ans = extends(T2, T1)
+            if ans.verdict is Verdict.NO:
+                assert contains(T2, ans.witness) and not contains(T1, ans.witness)
+            else:
+                assert ans.verdict is Verdict.YES
+                assert extends_bounded(T2, T1, 4, 10) is None, (T1, T2)
+                if least_floor_gap(T2.floor, T1.floor, len(T2.stem)) == len(T2.stem):
+                    masked_yes += 1
+            D = DominateSet(T1.floor)
+            assert (D.member(T2) is Verdict.YES) == bool(extends(T2, D.refine(T2)))
+        # the generator reaches the case no floor dominance can settle
+        assert masked_yes >= 20
 
 
 class TestExtendsBounded:

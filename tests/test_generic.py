@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -24,8 +25,10 @@ from genco import (
     verify_transcript,
     write_transcript,
 )
+from genco.cli import EXIT_VERIFY
 from genco.conditions import FULL_TREE
 from conftest import random_help, random_roster, random_seq
+from corpus import run_cli
 from mutations import ALL_MUTATIONS, apply_mutation
 
 EVENS = Evens()
@@ -178,6 +181,33 @@ class TestVerify:
         report = verify_transcript(roster, EVENS, x, parse_transcript(forged))
         assert not report.ok
         assert "meet.member" in {c.check for c in report.failures()}
+
+    def test_forged_deep_masked_floor_fails(self, tmp_path):
+        # the last condition masks the stem-level floor deficit with atoms
+        # but drops the floor of 9 at level 12, far above the stem
+        roster = [
+            DominateSet(FloorRule((5, 5) + (0,) * 10 + (9,), 0, 0)),
+            StemLengthSet(1),
+        ]
+        text = write_transcript(build_coded_generic(roster, None, None, 2))
+        assert verify_transcript(roster, None, None, parse_transcript(text)).ok
+        lines = text.splitlines()
+        lines[-2] = "MEET 1 stem=[6];excl{[6]:{1,2,3,4,5}};floor(table=[],a=0,b=0)"
+        forged = "\n".join(lines) + "\n"
+        report = verify_transcript(roster, None, None, parse_transcript(forged))
+        assert [(c.check, c.locus) for c in report.failures()] == [("chain.extends", "entry 1")]
+        cf, tf = tmp_path / "c.json", tmp_path / "t.transcript"
+        cf.write_text(json.dumps({
+            "poset": "hechler",
+            "help": {"kind": "evens"},
+            "dense": [D.config() for D in roster],
+            "steps": 2,
+        }))
+        tf.write_text(forged)
+        code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert code == EXIT_VERIFY
+        assert "FAIL chain.extends @entry 1 witness (6, 6, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)" in out
+        assert out.endswith("FAIL\n")
 
 
 def test_validation_is_linear_in_steps(monkeypatch):
