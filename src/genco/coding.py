@@ -16,7 +16,6 @@ enumeration indices.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from . import primes
@@ -170,15 +169,13 @@ class SelfCode(HelpSet):
     def __init__(self, abar: EventuallyPeriodicSeq):
         self.abar = abar
         self._codes: list[int] = []
-        self._lock = threading.Lock()
 
     def _code(self, n: int) -> int:
-        with self._lock:
-            while len(self._codes) <= n:
-                k = len(self._codes)
-                prev = self._codes[-1] if self._codes else 1
-                self._codes.append(prev * primes.nth_prime(k) ** (self.abar.value(k) + 1))
-            return self._codes[n]
+        while len(self._codes) <= n:
+            k = len(self._codes)
+            prev = self._codes[-1] if self._codes else 1
+            self._codes.append(prev * primes.nth_prime(k) ** (self.abar.value(k) + 1))
+        return self._codes[n]
 
     def _digits(self, z: int) -> tuple[int, ...] | None:
         """The decoded digits of z if z is a member, else None."""

@@ -9,6 +9,11 @@ q's new region, (5) append a marker 1 to p and the next target bit to q.
 The invariant is positional: wherever the finished c1 holds a 1, c2
 holds the next coded bit, so the pair decodes by reading c2 at the
 1-positions of c1.
+
+A pair transcript holds both end-of-stage snapshots on every STAGE
+line, so its bytes grow quadratically with the stages.  Each snapshot
+is rendered and parsed from the one on the line before through a
+`BitsCodec`, which converts only the new bits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,16 @@ from dataclasses import dataclass
 from .coding import EventuallyPeriodicSeq
 from .errors import ConfigError, DenseContractError, MalformedTranscript
 from .generic import CheckResult, VerificationReport
-from .serialize import canonical_json, check_keys, nat, parse_bits, render_bits, roster_hash
+from .serialize import (
+    BitsCodec,
+    canonical_json,
+    check_keys,
+    nat,
+    parse_bits,
+    render_bits,
+    roster_hash,
+    tagged_line,
+)
 
 Bits = tuple[int, ...]
 
@@ -206,43 +220,42 @@ def decode_pair(c1: Bits, c2: Bits, count: int) -> Bits:
 
 
 def write_pair_transcript(t: PairTranscript) -> str:
-    lines = [
-        f"ROSTER1 {t.roster1_hash}",
-        f"ROSTER2 {t.roster2_hash}",
-        f"TARGET {canonical_json(t.target_config)}",
-        f"STAGES {t.stages}",
+    """The text of `t`: four header lines, one STAGE line per snapshot,
+    and the C1 and C2 footers."""
+    ps, qs = BitsCodec(), BitsCodec()
+    out = [
+        f"ROSTER1 {t.roster1_hash}\n",
+        f"ROSTER2 {t.roster2_hash}\n",
+        f"TARGET {canonical_json(t.target_config)}\n",
+        f"STAGES {t.stages}\n",
     ]
     for s in t.snapshots:
-        lines.append(f"STAGE {s.index} P {render_bits(s.p)} Q {render_bits(s.q)}")
-    lines.append(f"C1 {render_bits(t.c1)}")
-    lines.append(f"C2 {render_bits(t.c2)}")
-    return "\n".join(lines) + "\n"
+        # fragments are joined once, so each snapshot text is copied once
+        out += (f"STAGE {s.index} P ", ps.render(s.p), " Q ", qs.render(s.q), "\n")
+    out += ("C1 ", ps.render(t.c1), "\nC2 ", qs.render(t.c2), "\n")
+    return "".join(out)
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:
+    """Inverse of `write_pair_transcript`; raises MalformedTranscript."""
     import json
 
     lines = text.splitlines()
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
-
-    def header(idx: int, tag: str) -> str:
-        if not lines[idx].startswith(tag + " "):
-            raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
-        return lines[idx][len(tag) + 1 :]
-
+    ps, qs = BitsCodec(), BitsCodec()
     try:
-        h1, h2 = header(0, "ROSTER1"), header(1, "ROSTER2")
-        target = json.loads(header(2, "TARGET"))
-        stages = int(header(3, "STAGES"))
+        h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
+        target = json.loads(tagged_line(lines, 2, "TARGET"))
+        stages = int(tagged_line(lines, 3, "STAGES"))
         snaps = []
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
                 raise MalformedTranscript(f"bad stage line: {line!r}")
-            snaps.append(PairStage(int(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
-        c1 = parse_bits(header(len(lines) - 2, "C1"))
-        c2 = parse_bits(header(len(lines) - 1, "C2"))
+            snaps.append(PairStage(int(parts[1]), ps.parse(parts[3]), qs.parse(parts[5])))
+        c1 = ps.parse(tagged_line(lines, len(lines) - 2, "C1"))
+        c2 = qs.parse(tagged_line(lines, len(lines) - 1, "C2"))
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
     return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)

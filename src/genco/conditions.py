@@ -11,8 +11,7 @@ immediate successors:
 * a floor rule: at level l, only steps z > f(l) survive, where f is a
   finite table followed by an affine tail.
 
-All values are immutable and every operation is a pure function, so the
-module is safe for concurrent use.
+All values are immutable and every operation is a pure function.
 
 Conditions are validated when constructed publicly or parsed; internal
 operations trust them.  The boundary is the `HechlerCondition(...)`
@@ -329,10 +328,11 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     for key, steps in T1.exclusions:
         if not is_prefix(s2, key) or not _contains(T2, key):
             continue
-        covered = set(excluded_successors(T2, key))
-        bad = sorted(set(steps) - covered)
-        if bad:
-            return ExtendsAnswer(Verdict.NO, witness=key + (bad[0],))
+        # the least step T1 excludes at key that T2 admits there
+        floor, excl = T2.floor_at(len(key)), T2.exclusion_at(key)
+        bad = next((z for z in steps if z > floor and z not in excl), None)
+        if bad is not None:
+            return ExtendsAnswer(Verdict.NO, witness=key + (bad,))
     if T1.floor is not None:
         witness = floor_gap_witness(T2, T1.floor)
         if witness is not None:
@@ -372,18 +372,25 @@ def render_condition(T: HechlerCondition) -> str:
     """
     from .serialize import render_seq
 
+    return f"stem={render_seq(T.stem)};{_render_exclusions(T)};{_render_floor(T.floor)}"
+
+
+def _render_exclusions(T: HechlerCondition) -> str:
+    from .serialize import render_seq
+
     excl = ";".join(
-        f"{render_seq(key)}:{{{','.join(str(z) for z in steps)}}}"
+        f"{render_seq(key)}:{{{','.join(map(str, steps))}}}"
         for key, steps in T.exclusions
     )
-    if T.floor is None:
-        floor = "floor(-)"
-    else:
-        floor = (
-            f"floor(table={render_seq(T.floor.table)},"
-            f"a={T.floor.slope},b={T.floor.intercept})"
-        )
-    return f"stem={render_seq(T.stem)};excl{{{excl}}};{floor}"
+    return f"excl{{{excl}}}"
+
+
+def _render_floor(floor: FloorRule | None) -> str:
+    from .serialize import render_seq
+
+    if floor is None:
+        return "floor(-)"
+    return f"floor(table={render_seq(floor.table)},a={floor.slope},b={floor.intercept})"
 
 
 def parse_condition(text: str) -> HechlerCondition:
@@ -405,22 +412,64 @@ def parse_condition(text: str) -> HechlerCondition:
                     int(z) for z in steps_text[:-1].split(",") if z
                 )
                 exclusions[parse_seq(key_text)] = steps
-        floor_body = floor_part[:-1]
-        if floor_body == "-":
-            floor = None
-        else:
-            table_text, tail = floor_body.split(",a=", 1)
-            if not table_text.startswith("table="):
-                raise ValueError
-            slope_text, intercept_text = tail.split(",b=", 1)
-            floor = FloorRule(
-                parse_seq(table_text[len("table="):]),
-                int(slope_text),
-                int(intercept_text),
-            )
+        floor = _parse_floor(floor_part[:-1])
         if not exclusions:
             # parse_seq yields only naturals, so a bare stem needs no second pass
             return HechlerCondition._trusted(stem, (), floor)
         return HechlerCondition(stem, exclusions, floor)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"malformed condition text: {text!r}") from exc
+
+
+class ConditionCodec:
+    """`render_condition` and `parse_condition` for the conditions of one
+    transcript, in line order.
+
+    Stems go through a `SeqCodec`, so a stem that extends the last one
+    costs only its new entries, and floor texts are memoized.  A text
+    with exclusion atoms, or one this fast path rejects, goes through
+    the full `parse_condition`, so every result and every error message
+    is its own.  Use one instance per direction and per transcript.
+    """
+
+    _PLAIN = ";excl{};floor("
+
+    def __init__(self):
+        from .serialize import SeqCodec
+
+        self._stems = SeqCodec()
+        self._floor_texts: dict[FloorRule | None, str] = {}
+        self._floors: dict[str, FloorRule | None] = {}
+
+    def render(self, T: HechlerCondition) -> str:
+        floor = self._floor_texts.get(T.floor)
+        if floor is None:
+            floor = self._floor_texts[T.floor] = _render_floor(T.floor)
+        return f"stem={self._stems.render(T.stem)};{_render_exclusions(T)};{floor}"
+
+    def parse(self, text: str) -> HechlerCondition:
+        # a valid stem holds no `;` and a valid floor no `}`, so this split
+        # agrees with parse_condition's whenever both parts parse
+        stem_part, plain, floor_part = text.partition(self._PLAIN)
+        if plain and stem_part.startswith("stem=") and floor_part.endswith(")"):
+            try:
+                if floor_part not in self._floors:
+                    self._floors[floor_part] = _parse_floor(floor_part[:-1])
+                stem = self._stems.parse(stem_part[len("stem="):])
+                return HechlerCondition._trusted(stem, (), self._floors[floor_part])
+            except ValueError:
+                pass
+        return parse_condition(text)
+
+
+def _parse_floor(body: str) -> FloorRule | None:
+    """The floor rule of the text between ``floor(`` and ``)``."""
+    from .serialize import parse_seq
+
+    if body == "-":
+        return None
+    table_text, tail = body.split(",a=", 1)
+    if not table_text.startswith("table="):
+        raise ValueError
+    slope_text, intercept_text = tail.split(",b=", 1)
+    return FloorRule(parse_seq(table_text[len("table="):]), int(slope_text), int(intercept_text))

@@ -8,6 +8,13 @@ g; reading g's labels at its A-positions returns exactly the target
 prefix.  Every move is logged with the full resulting condition, so a
 transcript can be re-checked from scratch without re-running the
 builder.
+
+A transcript's bytes therefore grow quadratically with the steps.  Each
+condition is rendered and parsed from the one on the line before
+through a `ConditionCodec`, so only new stem entries are converted; the
+repeated part of a line is only compared and copied.  A line that does
+not extend the previous one, or carries exclusion atoms, is parsed in
+full as if it stood alone.
 """
 
 from __future__ import annotations
@@ -17,16 +24,15 @@ from dataclasses import dataclass
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, eta
 from .conditions import (
     FULL_TREE,
+    ConditionCodec,
     HechlerCondition,
     Verdict,
     _stem_extends_avoiding,
     extends,
-    parse_condition,
-    render_condition,
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
 from .errors import FuelExhausted, MalformedTranscript
-from .serialize import canonical_json, parse_seq, render_seq, roster_hash
+from .serialize import canonical_json, parse_seq, render_seq, roster_hash, tagged_line
 
 MEET = "MEET"
 CODE = "CODE"
@@ -120,37 +126,35 @@ def build_coded_generic(
 
 
 def write_transcript(t: RunTranscript) -> str:
-    lines = [
-        f"ROSTER {t.roster_hash}",
-        f"HELP {canonical_json(t.help_config) if t.help_config is not None else 'null'}",
-        f"TARGET {canonical_json(t.target_config) if t.target_config is not None else 'null'}",
-        f"STEPS {t.steps}",
+    """The v1 text of `t`: four header lines, one MEET or CODE line per
+    entry, and the G footer."""
+    conds = ConditionCodec()
+    out = [
+        f"ROSTER {t.roster_hash}\n",
+        f"HELP {canonical_json(t.help_config) if t.help_config is not None else 'null'}\n",
+        f"TARGET {canonical_json(t.target_config) if t.target_config is not None else 'null'}\n",
+        f"STEPS {t.steps}\n",
     ]
     for e in t.entries:
-        if e.kind == MEET:
-            lines.append(f"MEET {e.index} {render_condition(e.condition)}")
-        else:
-            lines.append(f"CODE {e.index} {e.z} {render_condition(e.condition)}")
-    lines.append(f"G {render_seq(t.g_prefix)}")
-    return "\n".join(lines) + "\n"
+        # fragments are joined once, so each condition text is copied once
+        head = f"MEET {e.index} " if e.kind == MEET else f"CODE {e.index} {e.z} "
+        out += (head, conds.render(e.condition), "\n")
+    out.append(f"G {render_seq(t.g_prefix)}\n")
+    return "".join(out)
 
 
 def parse_transcript(text: str) -> RunTranscript:
+    """Inverse of `write_transcript`; raises MalformedTranscript at the
+    first line that breaks the format."""
     import json
 
     lines = text.splitlines()
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
-
-    def header(idx: int, tag: str) -> str:
-        if not lines[idx].startswith(tag + " "):
-            raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
-        return lines[idx][len(tag) + 1 :]
-
-    rhash = header(0, "ROSTER")
-    help_text = header(1, "HELP")
-    target_text = header(2, "TARGET")
-    steps_text = header(3, "STEPS")
+    rhash = tagged_line(lines, 0, "ROSTER")
+    help_text = tagged_line(lines, 1, "HELP")
+    target_text = tagged_line(lines, 2, "TARGET")
+    steps_text = tagged_line(lines, 3, "STEPS")
     try:
         help_cfg = None if help_text == "null" else json.loads(help_text)
         target_cfg = None if target_text == "null" else json.loads(target_text)
@@ -160,18 +164,19 @@ def parse_transcript(text: str) -> RunTranscript:
     entries: list[TranscriptEntry] = []
     if not lines[-1].startswith("G "):
         raise MalformedTranscript("missing footer")
+    conds = ConditionCodec()
     try:
         g = parse_seq(lines[-1][2:])
         for i, line in enumerate(lines[4:-1], start=5):
             parts = line.split(" ")
             if parts[0] == MEET and len(parts) == 3:
                 entries.append(
-                    TranscriptEntry(MEET, int(parts[1]), parse_condition(parts[2]))
+                    TranscriptEntry(MEET, int(parts[1]), conds.parse(parts[2]))
                 )
             elif parts[0] == CODE and len(parts) == 4:
                 entries.append(
                     TranscriptEntry(
-                        CODE, int(parts[1]), parse_condition(parts[3]), z=int(parts[2])
+                        CODE, int(parts[1]), conds.parse(parts[3]), z=int(parts[2])
                     )
                 )
             else:

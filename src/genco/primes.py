@@ -1,16 +1,13 @@
 """Incremental prime enumeration with membership and index lookup.
 
 A single shared cache grows by trial division against already-known
-primes; growth is lock-protected so help sets backed by primes stay safe
-under concurrent use.
+primes.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 
-_lock = threading.Lock()
 _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
 
@@ -24,12 +21,11 @@ def _is_prime_trial(candidate: int, known: list[int]) -> bool:
 
 
 def _grow_until(pred) -> None:
-    with _lock:
-        while not pred(_primes):
-            candidate = _primes[-1] + 2
-            while not _is_prime_trial(candidate, _primes):
-                candidate += 2
-            _primes.append(candidate)
+    while not pred(_primes):
+        candidate = _primes[-1] + 2
+        while not _is_prime_trial(candidate, _primes):
+            candidate += 2
+        _primes.append(candidate)
 
 
 def nth_prime(n: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedTranscript
 
 
 def canonical_json(obj) -> str:
@@ -25,7 +25,7 @@ def roster_hash(configs: list[dict]) -> str:
 
 def render_seq(xs) -> str:
     """Render a sequence of naturals as ``[a,b,c]`` with no spaces."""
-    return "[" + ",".join(str(x) for x in xs) + "]"
+    return "[" + ",".join(map(str, xs)) + "]"
 
 
 def parse_seq(text: str) -> tuple[int, ...]:
@@ -60,6 +60,89 @@ def parse_bits(text: str) -> tuple[int, ...]:
     if not text or text.strip("01"):
         raise ValueError(f"bad bit string {text!r}")
     return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
+
+
+class SeqCodec:
+    """`render_seq` and `parse_seq` for a run of sequences in which each
+    usually extends the one before, as the stems of a transcript do.
+
+    The codec keeps the last sequence, its text, and the head of that
+    text (all but the closing bracket).  A sequence that extends the last
+    one renders as the head plus its new entries.  A text that starts
+    with the head and goes on at an entry boundary (`,` or the closing
+    bracket) parses as the last sequence plus its new entries, read by
+    `parse_seq`.  Anything else goes through the full `render_seq` or
+    `parse_seq`, so every result and every error message is theirs.  Use
+    one instance per direction and per sequence of a transcript, in line
+    order.
+    """
+
+    _open, _sep, _close = "[", ",", "]"
+    _render = staticmethod(render_seq)
+    _parse = staticmethod(parse_seq)
+
+    def __init__(self):
+        self._seq: tuple[int, ...] = ()
+        self._text = self._render(())
+        self._head = ""  # "" while _seq is empty
+
+    def render(self, xs) -> str:
+        if xs is self._seq:
+            return self._text
+        n = len(self._seq)
+        if n and xs[:n] == self._seq:
+            if len(xs) == n:
+                return self._text
+            text = self._head + self._sep + self._render(xs[n:])[len(self._open):]
+        else:
+            text = self._render(xs)
+        self._keep(xs, text)
+        return text
+
+    def parse(self, text: str) -> tuple[int, ...]:
+        if text == self._text:
+            return self._seq
+        xs = self._extension(text)
+        if xs is None:
+            xs = self._parse(text)
+        self._keep(xs, text)
+        return xs
+
+    def _extension(self, text: str) -> tuple[int, ...] | None:
+        """The sequence of `text` if it extends the last text at an entry
+        boundary and its new entries parse; else None."""
+        head = self._head
+        if not head or not text.startswith(head):
+            return None
+        rest = text[len(head):]
+        if not rest.startswith(self._sep):
+            return None
+        try:
+            new = self._parse(self._open + rest[len(self._sep):])
+        except ValueError:
+            return None
+        return self._seq + new if new else None
+
+    def _keep(self, xs, text: str) -> None:
+        self._seq, self._text = xs, text
+        self._head = text[: len(text) - len(self._close)] if xs else ""
+
+
+class BitsCodec(SeqCodec):
+    """`render_bits` and `parse_bits` for a run of bit strings in which
+    each usually extends the one before; see `SeqCodec`.  Every
+    character is an entry, so every position is an entry boundary."""
+
+    _open = _sep = _close = ""
+    _render = staticmethod(render_bits)
+    _parse = staticmethod(parse_bits)
+
+
+def tagged_line(lines: list[str], idx: int, tag: str) -> str:
+    """The text after `tag` and one space on line `idx` of a transcript."""
+    if not lines[idx].startswith(tag + " "):
+        raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
+    return lines[idx][len(tag) + 1 :]
 
 
 # Strict readers for decoded config JSON.  Each names the offending field

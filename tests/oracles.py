@@ -1,13 +1,31 @@
-"""The tests' differential oracle for the inclusion order.
+"""The tests' differential oracles.
 
 `extends_bounded` searches a bounded universe exhaustively for a node
 in T2 but not in T1.  The library decides `extends` exactly; the suites
 check that the oracle never finds such a node where `extends` says YES.
+
+`write_transcript`, `parse_transcript`, `write_pair_transcript` and
+`parse_pair_transcript` are the transcript codec before incremental
+rendering and parsing: every line is rendered and parsed in full.  The
+library's codec must agree with them byte for byte, value for value and
+error message for error message.
 """
 
 from __future__ import annotations
 
-from genco.conditions import HechlerCondition, Node, _contains, _floor_at, is_prefix
+from genco.cohenpair import PairStage, PairTranscript
+from genco.conditions import (
+    HechlerCondition,
+    Node,
+    _contains,
+    _floor_at,
+    is_prefix,
+    parse_condition,
+    render_condition,
+)
+from genco.errors import MalformedTranscript
+from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
+from genco.serialize import canonical_json, parse_bits, parse_seq, render_bits, render_seq
 
 
 def extends_bounded(
@@ -64,3 +82,108 @@ def extends_bounded(
     if len(s2) > depth or any(e > width for e in s2):
         return None
     return dfs(s2)
+
+
+def write_transcript(t: RunTranscript) -> str:
+    lines = [
+        f"ROSTER {t.roster_hash}",
+        f"HELP {canonical_json(t.help_config) if t.help_config is not None else 'null'}",
+        f"TARGET {canonical_json(t.target_config) if t.target_config is not None else 'null'}",
+        f"STEPS {t.steps}",
+    ]
+    for e in t.entries:
+        if e.kind == MEET:
+            lines.append(f"MEET {e.index} {render_condition(e.condition)}")
+        else:
+            lines.append(f"CODE {e.index} {e.z} {render_condition(e.condition)}")
+    lines.append(f"G {render_seq(t.g_prefix)}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_transcript(text: str) -> RunTranscript:
+    import json
+
+    lines = text.splitlines()
+    if len(lines) < 5:
+        raise MalformedTranscript("transcript too short")
+
+    def header(idx: int, tag: str) -> str:
+        if not lines[idx].startswith(tag + " "):
+            raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
+        return lines[idx][len(tag) + 1 :]
+
+    rhash = header(0, "ROSTER")
+    help_text = header(1, "HELP")
+    target_text = header(2, "TARGET")
+    steps_text = header(3, "STEPS")
+    try:
+        help_cfg = None if help_text == "null" else json.loads(help_text)
+        target_cfg = None if target_text == "null" else json.loads(target_text)
+        steps = int(steps_text)
+    except ValueError as exc:
+        raise MalformedTranscript(f"bad header: {exc}") from exc
+    entries: list[TranscriptEntry] = []
+    if not lines[-1].startswith("G "):
+        raise MalformedTranscript("missing footer")
+    try:
+        g = parse_seq(lines[-1][2:])
+        for i, line in enumerate(lines[4:-1], start=5):
+            parts = line.split(" ")
+            if parts[0] == MEET and len(parts) == 3:
+                entries.append(
+                    TranscriptEntry(MEET, int(parts[1]), parse_condition(parts[2]))
+                )
+            elif parts[0] == CODE and len(parts) == 4:
+                entries.append(
+                    TranscriptEntry(
+                        CODE, int(parts[1]), parse_condition(parts[3]), z=int(parts[2])
+                    )
+                )
+            else:
+                raise MalformedTranscript(f"bad step on line {i}")
+    except ValueError as exc:
+        raise MalformedTranscript(f"bad step line: {exc}") from exc
+    return RunTranscript(rhash, help_cfg, target_cfg, steps, tuple(entries), g)
+
+
+def write_pair_transcript(t: PairTranscript) -> str:
+    lines = [
+        f"ROSTER1 {t.roster1_hash}",
+        f"ROSTER2 {t.roster2_hash}",
+        f"TARGET {canonical_json(t.target_config)}",
+        f"STAGES {t.stages}",
+    ]
+    for s in t.snapshots:
+        lines.append(f"STAGE {s.index} P {render_bits(s.p)} Q {render_bits(s.q)}")
+    lines.append(f"C1 {render_bits(t.c1)}")
+    lines.append(f"C2 {render_bits(t.c2)}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_pair_transcript(text: str) -> PairTranscript:
+    import json
+
+    lines = text.splitlines()
+    if len(lines) < 6:
+        raise MalformedTranscript("pair transcript too short")
+
+    def header(idx: int, tag: str) -> str:
+        if not lines[idx].startswith(tag + " "):
+            raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
+        return lines[idx][len(tag) + 1 :]
+
+    try:
+        h1, h2 = header(0, "ROSTER1"), header(1, "ROSTER2")
+        target = json.loads(header(2, "TARGET"))
+        stages = int(header(3, "STAGES"))
+        snaps = []
+        for line in lines[4:-2]:
+            parts = line.split(" ")
+            if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
+                raise MalformedTranscript(f"bad stage line: {line!r}")
+            snaps.append(PairStage(int(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
+        c1 = parse_bits(header(len(lines) - 2, "C1"))
+        c2 = parse_bits(header(len(lines) - 1, "C2"))
+    except ValueError as exc:
+        raise MalformedTranscript(str(exc)) from exc
+    return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)

@@ -1,0 +1,249 @@
+"""The incremental transcript codec against the full-line oracle.
+
+`tests/oracles.py` holds the codec as it was before lines were rendered
+and parsed from the previous line.  Every case here must give the same
+text, an equal transcript, or the same exception with the same message.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+
+import pytest
+
+from genco import (
+    DominateSet,
+    FloorRule,
+    HechlerCondition,
+    build_coded_generic,
+    build_pair,
+    parse_pair_transcript,
+    parse_transcript,
+    write_pair_transcript,
+    write_transcript,
+)
+from genco.cohenpair import PairStage, PairTranscript
+from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
+import oracles
+from conftest import random_bit_seq, random_condition, random_help, random_roster, random_seq
+from corpus import GOLDEN_DIR, REPO
+from mutations import ALL_MUTATIONS, apply_mutation
+from test_cohenpair import random_cohen_roster
+
+GOLDENS = sorted(GOLDEN_DIR.glob("*.transcript"))
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # the oracle's exception type and message are the reference
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_parse(text, pair: bool) -> bool:
+    """The library parses `text` as the oracle does; True if both accept it."""
+    if pair:
+        got, want = outcome(parse_pair_transcript, text), outcome(oracles.parse_pair_transcript, text)
+    else:
+        got, want = outcome(parse_transcript, text), outcome(oracles.parse_transcript, text)
+    assert got == want
+    return want[0] == "ok"
+
+
+def honest_runs(seed: int, count: int, steps: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        roster = random_roster(rng, 4) + [
+            DominateSet(FloorRule((), rng.randrange(2), rng.randrange(1, 6)))
+        ]
+        A = random_help(rng)
+        yield A, write_transcript(build_coded_generic(roster, A, random_seq(rng), steps))
+
+
+def honest_pairs(seed: int, count: int, stages: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r1, r2 = random_cohen_roster(rng, 4), random_cohen_roster(rng, 4)
+        yield write_pair_transcript(build_pair(r1, r2, random_bit_seq(rng), stages)[2])
+
+
+def damage(rng: random.Random, text: str, kind: str, pair: bool) -> str:
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    if kind == "flip":
+        line = lines[i] or " "
+        k = rng.randrange(len(line))
+        lines[i] = line[:k] + rng.choice("0123456789,[];:{}()=-ab x²٣") + line[k + 1 :]
+    elif kind == "truncate":
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "mid_entry":
+        # edit an entry in the middle of a stem or snapshot, so that this
+        # line no longer extends the one before and the next line no
+        # longer extends this one
+        tag = "STAGE " if pair else ("MEET ", "CODE ")
+        candidates = [k for k, line in enumerate(lines) if line.startswith(tag)]
+        k = rng.choice(candidates)
+        if pair:
+            parts = lines[k].split(" ")
+            field = rng.choice((3, 5))
+            bits = parts[field]
+            if bits != "-":
+                m = len(bits) // 2
+                parts[field] = bits[:m] + ("1" if bits[m] == "0" else "0") + bits[m + 1 :]
+            lines[k] = " ".join(parts)
+        else:
+            start = lines[k].index("stem=[") + len("stem=[")
+            end = lines[k].index("]", start)
+            entries = lines[k][start:end].split(",")
+            if entries != [""]:
+                m = len(entries) // 2
+                entries[m] = str(int(entries[m]) + 1 + rng.randrange(3))
+            lines[k] = lines[k][:start] + ",".join(entries) + lines[k][end:]
+    else:
+        raise AssertionError(kind)
+    return "\n".join(lines) + "\n"
+
+
+DAMAGE = ("flip", "truncate", "drop", "duplicate", "swap", "mid_entry")
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
+def test_goldens_round_trip_like_oracle(path):
+    text = path.read_text()
+    pair = path.stem.startswith("cohen")
+    assert assert_same_parse(text, pair)
+    if pair:
+        assert write_pair_transcript(parse_pair_transcript(text)) == text
+    else:
+        assert write_transcript(parse_transcript(text)) == text
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MUTATIONS))
+def test_mutations_parse_like_oracle(name):
+    for A, text in honest_runs(31, 6, 6):
+        mutated = apply_mutation(name, text, A)
+        assert mutated != text
+        assert_same_parse(mutated, pair=False)
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["coded", "pair"])
+@pytest.mark.parametrize("kind", DAMAGE)
+def test_line_damage_parses_like_oracle(kind, pair):
+    rng = random.Random(f"damage-{kind}-{pair}")
+    texts = [p.read_text() for p in GOLDENS if p.stem.startswith("cohen") == pair]
+    texts += list(honest_pairs(53, 6, 8)) if pair else [text for _, text in honest_runs(47, 6, 8)]
+    accepted = rejected = 0
+    for text in texts:
+        for _ in range(25):
+            if assert_same_parse(damage(rng, text, kind, pair), pair):
+                accepted += 1
+            else:
+                rejected += 1
+    # both outcomes occur, except that an edited entry is still well formed
+    assert accepted > 0 if kind == "mid_entry" else rejected > 0
+    if kind in ("duplicate", "swap"):
+        assert accepted > 0
+
+
+def test_writer_matches_oracle_on_random_rosters():
+    rng = random.Random(59)
+    for _ in range(40):
+        roster = random_roster(rng, 6)
+        A = random_help(rng) if rng.random() < 0.8 else None
+        x = random_seq(rng) if A is not None else None
+        t = build_coded_generic(roster, A, x, rng.randrange(12))
+        text = write_transcript(t)
+        assert text == oracles.write_transcript(t)
+        assert parse_transcript(text) == t
+    for _ in range(40):
+        r1, r2 = random_cohen_roster(rng, 6), random_cohen_roster(rng, 6)
+        _, _, t = build_pair(r1, r2, random_bit_seq(rng), rng.randrange(12))
+        text = write_pair_transcript(t)
+        assert text == oracles.write_pair_transcript(t)
+        assert parse_pair_transcript(text) == t
+
+
+def _next_condition(rng: random.Random, prev: HechlerCondition) -> HechlerCondition:
+    """A condition whose stem jumps, repeats, grows or shrinks from `prev`'s."""
+    move = rng.choice(("jump", "repeat", "grow", "shrink"))
+    if move == "jump":
+        return random_condition(rng)
+    stem = prev.stem
+    if move == "grow":
+        stem += tuple(rng.randrange(20) for _ in range(rng.randrange(1, 3)))
+    elif move == "shrink":
+        stem = stem[: rng.randrange(len(stem) + 1)]
+    atoms = {stem + (rng.randrange(9),): (rng.randrange(9),)} if rng.random() < 0.2 else {}
+    return HechlerCondition(stem, atoms, rng.choice([None, prev.floor, FloorRule((1,), 0, 3)]))
+
+
+def _next_bits(rng: random.Random, prev: tuple[int, ...]) -> tuple[int, ...]:
+    if rng.random() < 0.3:
+        return tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+    if rng.random() < 0.3:
+        return prev[: rng.randrange(len(prev) + 1)]
+    return prev + tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
+
+
+def test_codec_matches_oracle_on_arbitrary_sequences():
+    # stems and bit strings that do not only extend, with atoms and floors
+    rng = random.Random(61)
+    target = {"prefix": [], "cycle": [1]}
+    for _ in range(60):
+        entries, cond = [], HechlerCondition()
+        for i in range(rng.randrange(1, 10)):
+            cond = _next_condition(rng, cond)
+            if rng.random() < 0.5:
+                entries.append(TranscriptEntry(MEET, i, cond))
+            else:
+                entries.append(TranscriptEntry(CODE, i, cond, z=rng.randrange(9)))
+        t = RunTranscript("ab", None, target, len(entries), tuple(entries), cond.stem)
+        text = write_transcript(t)
+        assert text == oracles.write_transcript(t)
+        assert parse_transcript(text) == oracles.parse_transcript(text) == t
+
+        snaps, p, q = [], (), ()
+        for i in range(rng.randrange(1, 10)):
+            p, q = _next_bits(rng, p), _next_bits(rng, q)
+            snaps.append(PairStage(i, p, q))
+        pt = PairTranscript("a", "b", target, len(snaps), tuple(snaps), p, q)
+        text = write_pair_transcript(pt)
+        assert text == oracles.write_pair_transcript(pt)
+        assert parse_pair_transcript(text) == oracles.parse_pair_transcript(text) == pt
+
+
+def test_short_runs_parse_like_oracle():
+    # every prefix of the lines, so each header and footer check fires
+    _, text = next(honest_runs(67, 1, 3))
+    lines = text.splitlines()
+    for n in range(len(lines) + 1):
+        assert_same_parse("\n".join(lines[:n]), pair=False)
+    lines = next(honest_pairs(71, 1, 3)).splitlines()
+    for n in range(len(lines) + 1):
+        assert_same_parse("\n".join(lines[:n]), pair=True)
+
+
+def test_make_goldens_check_names_each_difference(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_goldens", REPO / "tools" / "make_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--check"]) == 0
+    for path in GOLDENS:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / GOLDENS[0].name).write_bytes(GOLDENS[0].read_bytes() + b"\n")
+    (tmp_path / GOLDENS[-1].name).unlink()
+    monkeypatch.setattr(tool, "GOLDEN_DIR", tmp_path)
+    capsys.readouterr()
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out.split("\n") == [
+        f"differs: {GOLDENS[0].name}", f"differs: {GOLDENS[-1].name}", ""
+    ]
+    assert not (tmp_path / GOLDENS[-1].name).exists()

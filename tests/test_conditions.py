@@ -4,6 +4,7 @@ the two extension orders."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,40 @@ class TestExtends:
         ans = extends(FULL_TREE, HechlerCondition((), {(): (4,)}))
         assert ans.verdict is Verdict.NO and ans.witness == (4,)
         assert contains(FULL_TREE, ans.witness)
+
+    @pytest.mark.parametrize("b", [10**6, 10**18])
+    def test_atom_above_huge_floor_is_quick(self, b):
+        # the exclusion check reads T2's floor and atoms at the key, never
+        # the range of steps below the floor
+        T2 = HechlerCondition((), {}, FloorRule((), 0, b))
+        T1 = HechlerCondition((), {(): (3, b + 2, b + 5)})
+        start = time.perf_counter()
+        ans = extends(T2, T1)
+        assert time.perf_counter() - start < 0.1
+        assert ans.verdict is Verdict.NO and ans.witness == (b + 2,)
+
+    def test_atom_witness_is_least_uncovered_step(self):
+        # the witness is that of the first T1 atom with a step missing from
+        # T2's full set of excluded successors at its key, as listed by
+        # `excluded_successors`
+        rng = random.Random(17)
+        hits = 0
+        for _ in range(400):
+            T1 = random_condition(rng, max_entry=6)
+            T2 = _sibling_condition(rng, T1.stem)
+            if not contains(T1, T2.stem):
+                continue
+            want = None
+            for key, steps in T1.exclusions:
+                if is_prefix(T2.stem, key) and contains(T2, key):
+                    missing = sorted(set(steps) - set(excluded_successors(T2, key)))
+                    if missing:
+                        want = key + (missing[0],)
+                        break
+            if want is not None:
+                hits += 1
+                assert extends(T2, T1).witness == want
+        assert hits > 20
 
     def test_transitive_on_chains(self):
         rng = random.Random(11)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from genco.serialize import parse_bits, parse_seq, render_bits, render_seq
+from genco.serialize import BitsCodec, SeqCodec, parse_bits, parse_seq, render_bits, render_seq
 
 
 @pytest.mark.parametrize("text", ["[1,,2]", "[,1]", "[1,]", "[ 1]", "[+1]", "[-1]", "1,2", "[1"])
@@ -31,3 +31,37 @@ def test_bits_round_trip():
     assert render_bits((1, 0, 1, 1)) == "1011"
     for bits in [(0,), (1,), (1, 0, 1, 1), (0,) * 40 + (1,)]:
         assert parse_bits(render_bits(bits)) == bits
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1,2]", "[1,2,3]", "[1,23]", "[1,2,]", "[1,2,,3]", "[1,2]]", "[1,2", "[1,2,3", "[1,2,-3]",
+     "[1,2,3],", "[1,2,٣]", "[1,2,²]", "[1]", "[]", "[1,2 ,3]"],
+)
+def test_seq_codec_parses_like_parse_seq(text):
+    codec = SeqCodec()
+    assert codec.parse("[1,2]") == (1, 2)
+    assert _outcome(codec.parse, text) == _outcome(parse_seq, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["0101", "01011", "0101-", "01012", "0101 ", "010", "-", "", "0101٣", "1101"]
+)
+def test_bits_codec_parses_like_parse_bits(text):
+    codec = BitsCodec()
+    assert codec.parse("0101") == (0, 1, 0, 1)
+    assert _outcome(codec.parse, text) == _outcome(parse_bits, text)
+
+
+def test_codecs_render_like_full_renderers():
+    seqs, bits = SeqCodec(), BitsCodec()
+    for xs in [(), (1, 2), (1, 2), (1, 2, 30), (1,), (4, 2, 30, 7, 7), (), (0,)]:
+        assert seqs.render(xs) == render_seq(xs)
+        assert bits.render(tuple(x % 2 for x in xs)) == render_bits(tuple(x % 2 for x in xs))

@@ -1,31 +1,66 @@
-"""Regenerate the golden transcripts for the bundled config corpus.
+"""Regenerate or check the golden transcripts of the bundled config corpus.
 
 Run from the repository root after an intentional format or algorithm
 change, then review the diff:
 
     python3 tools/make_goldens.py
+
+With `--check` nothing is written: every golden is regenerated in memory
+and compared with its file, each one that differs is named, and the exit
+code is 1 if any differs.  It is the quick guard for codec changes:
+
+    python3 tools/make_goldens.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from corpus import GOLDEN_DIR, build_transcript, corpus_paths  # noqa: E402
+from corpus import GOLDEN_DIR, command_for, corpus_paths  # noqa: E402
+from genco import build_coded_generic, build_pair, write_pair_transcript, write_transcript  # noqa: E402
+from genco.cli import parse_config  # noqa: E402
 
 
-def main() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def golden_text(path: Path) -> str:
+    """The transcript that `genco build`, `plain` or `cohen` writes for
+    the config at `path`."""
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    command = command_for(path)
+    if command == "cohen":
+        r1, r2 = cfg.cohen_rosters()
+        return write_pair_transcript(build_pair(r1, r2, cfg.target(), cfg.steps)[2])
+    if command == "build":
+        A, x = cfg.help_set(), cfg.target()
+    else:
+        A = x = None
+    return write_transcript(build_coded_generic(cfg.roster(), A, x, cfg.steps))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="write nothing; exit 1 and name each golden that differs")
+    args = ap.parse_args(argv)
+    differ = []
     for path in corpus_paths():
         golden = GOLDEN_DIR / (path.stem + ".transcript")
-        code, _, err = build_transcript(path, golden)
-        if code != 0:
-            raise SystemExit(f"{path.name}: exit {code}: {err}")
-        print(f"wrote {golden.relative_to(REPO)}")
+        text = golden_text(path).encode("utf-8")
+        if not args.check:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            golden.write_bytes(text)
+            print(f"wrote {golden.relative_to(REPO)}")
+        elif not golden.is_file() or golden.read_bytes() != text:
+            differ.append(golden)
+    for golden in differ:
+        print(f"differs: {golden.name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
