@@ -164,7 +164,9 @@ class Primes(HelpSet):
 class SelfCode(HelpSet):
     """The set of prefix codes of a fixed sequence abar: element n is
     prefix_code(abar restricted to n+1 entries).  Any infinite subset
-    recovers abar, hence the whole set."""
+    recovers abar, hence the whole set.  The code cache, like the prime
+    table it reads, is single-threaded: do not share one instance, or
+    help sets backed by primes, between threads."""
 
     def __init__(self, abar: EventuallyPeriodicSeq):
         self.abar = abar

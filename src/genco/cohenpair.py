@@ -12,8 +12,9 @@ holds the next coded bit, so the pair decodes by reading c2 at the
 
 A pair transcript holds both end-of-stage snapshots on every STAGE
 line, so its bytes grow quadratically with the stages.  Each snapshot
-is rendered and parsed from the one on the line before through a
-`BitsCodec`, which converts only the new bits.
+is rendered in full by `render_bits`, which is already a C-speed
+translate; the parser reads each snapshot from the one on the line
+before through a `BitsCodec`, which converts only the new bits.
 """
 
 from __future__ import annotations
@@ -222,18 +223,17 @@ def decode_pair(c1: Bits, c2: Bits, count: int) -> Bits:
 def write_pair_transcript(t: PairTranscript) -> str:
     """The text of `t`: four header lines, one STAGE line per snapshot,
     and the C1 and C2 footers."""
-    ps, qs = BitsCodec(), BitsCodec()
-    out = [
-        f"ROSTER1 {t.roster1_hash}\n",
-        f"ROSTER2 {t.roster2_hash}\n",
-        f"TARGET {canonical_json(t.target_config)}\n",
-        f"STAGES {t.stages}\n",
+    lines = [
+        f"ROSTER1 {t.roster1_hash}",
+        f"ROSTER2 {t.roster2_hash}",
+        f"TARGET {canonical_json(t.target_config)}",
+        f"STAGES {t.stages}",
     ]
     for s in t.snapshots:
-        # fragments are joined once, so each snapshot text is copied once
-        out += (f"STAGE {s.index} P ", ps.render(s.p), " Q ", qs.render(s.q), "\n")
-    out += ("C1 ", ps.render(t.c1), "\nC2 ", qs.render(t.c2), "\n")
-    return "".join(out)
+        lines.append(f"STAGE {s.index} P {render_bits(s.p)} Q {render_bits(s.q)}")
+    lines.append(f"C1 {render_bits(t.c1)}")
+    lines.append(f"C2 {render_bits(t.c2)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:

@@ -1,7 +1,9 @@
 """Incremental prime enumeration with membership and index lookup.
 
 A single shared cache grows by trial division against already-known
-primes.
+primes.  The cache is single-threaded: two threads growing it at once can
+append the same prime twice, after which `nth_prime` and the index
+lookup answer wrongly.
 """
 
 from __future__ import annotations

@@ -178,6 +178,8 @@ class TestExtendInA:
             extend_in_A(FULL_TREE, Lying(), None)
 
     def test_concurrent_calls_agree(self):
+        # StemLengthSet and EVENS keep no cache; the prime table and
+        # SelfCode's code cache are single-threaded and not covered here
         T = HechlerCondition((), {(): (1,)})
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(

@@ -5,9 +5,10 @@ change, then review the diff:
 
     python3 tools/make_goldens.py
 
-With `--check` nothing is written: every golden is regenerated in memory
-and compared with its file, each one that differs is named, and the exit
-code is 1 if any differs.  It is the quick guard for codec changes:
+With `--check` nothing under tests/goldens is written: every golden is
+rebuilt through the CLI into a temporary directory and compared byte for
+byte with its file, each one that differs is named, and the exit code is
+1 if any differs.  It is the quick guard for codec changes:
 
     python3 tools/make_goldens.py --check
 """
@@ -16,47 +17,35 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from corpus import GOLDEN_DIR, command_for, corpus_paths  # noqa: E402
-from genco import build_coded_generic, build_pair, write_pair_transcript, write_transcript  # noqa: E402
-from genco.cli import parse_config  # noqa: E402
-
-
-def golden_text(path: Path) -> str:
-    """The transcript that `genco build`, `plain` or `cohen` writes for
-    the config at `path`."""
-    cfg = parse_config(path.read_text(encoding="utf-8"))
-    command = command_for(path)
-    if command == "cohen":
-        r1, r2 = cfg.cohen_rosters()
-        return write_pair_transcript(build_pair(r1, r2, cfg.target(), cfg.steps)[2])
-    if command == "build":
-        A, x = cfg.help_set(), cfg.target()
-    else:
-        A = x = None
-    return write_transcript(build_coded_generic(cfg.roster(), A, x, cfg.steps))
+from corpus import GOLDEN_DIR, build_transcript, corpus_paths  # noqa: E402
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="write nothing; exit 1 and name each golden that differs")
+                    help="write nothing to tests/goldens; exit 1 and name each golden that differs")
     args = ap.parse_args(argv)
     differ = []
-    for path in corpus_paths():
-        golden = GOLDEN_DIR / (path.stem + ".transcript")
-        text = golden_text(path).encode("utf-8")
-        if not args.check:
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            golden.write_bytes(text)
-            print(f"wrote {golden.relative_to(REPO)}")
-        elif not golden.is_file() or golden.read_bytes() != text:
-            differ.append(golden)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in corpus_paths():
+            golden = GOLDEN_DIR / (path.stem + ".transcript")
+            out = Path(tmp) / golden.name if args.check else golden
+            if not args.check:
+                GOLDEN_DIR.mkdir(exist_ok=True)
+            code, _, err = build_transcript(path, out)
+            if code != 0:
+                raise SystemExit(f"{path.name}: exit {code}: {err}")
+            if not args.check:
+                print(f"wrote {golden.relative_to(REPO)}")
+            elif not golden.is_file() or golden.read_bytes() != out.read_bytes():
+                differ.append(golden)
     for golden in differ:
         print(f"differs: {golden.name}")
     return 1 if differ else 0
