@@ -3,7 +3,8 @@
 Exit codes: 0 success / verification passed, 1 verification failure,
 2 config error, 3 fuel exhaustion, 4 I/O error.  Payload goes to
 stdout, diagnostics to stderr.  GENCO_FUEL overrides the default probe
-budget of 100000.  The config schema lives with each family's
+budget of 100000, which also bounds the prime indices of help-set
+lookups.  The config schema lives with each family's
 `from_config`; this module reads only the root object.
 """
 
@@ -161,7 +162,7 @@ def _cmd_decode(args, out) -> int:
         g = parse_seq(args.g)
     except ValueError as exc:
         raise ConfigError("g", str(exc))
-    print(render_seq(decode(A, g)), file=out)
+    print(render_seq(decode(A, g, _fuel())), file=out)
     return EXIT_OK
 
 
@@ -181,7 +182,7 @@ def _cmd_verify(args, out) -> int:
             raise ConfigError("target", "coded transcript needs a target in the config")
         A = cfg.help_set() if t.help_config is not None else None
         x = cfg.target() if t.target_config is not None else None
-        report = generic.verify_transcript(cfg.roster(), A, x, t)
+        report = generic.verify_transcript(cfg.roster(), A, x, t, _fuel())
     else:
         r1, r2 = cfg.cohen_rosters()
         report = cohenpair.verify_pair(r1, r2, cfg.target(), t)

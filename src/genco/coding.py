@@ -15,12 +15,14 @@ enumeration indices.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import primes
-from .errors import ConfigError, FuelExhausted, MalformedCodeElement
-from .serialize import build_at, check_keys, nat_list
+from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, MalformedCodeElement
+from .serialize import build_at, check_keys, nat_list, printable
 
 
 def theta(n: int) -> int:
@@ -109,16 +111,18 @@ class HelpSet:
     """Infinite, co-infinite subset of the naturals.
 
     Subclasses provide member / enumerate / index_of / config; the
-    enumeration is strictly increasing with index_of its inverse.
+    enumeration is strictly increasing with index_of its inverse.  The
+    `fuel` of enumerate and index_of bounds the prime indices they may
+    reach (see `primes`).
     """
 
     def member(self, z: int) -> bool:
         raise NotImplementedError
 
-    def enumerate(self, n: int) -> int:
+    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
         raise NotImplementedError
 
-    def index_of(self, z: int) -> int:
+    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -133,10 +137,10 @@ class Evens(HelpSet):
     def member(self, z: int) -> bool:
         return z >= 0 and z % 2 == 0
 
-    def enumerate(self, n: int) -> int:
+    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
         return 2 * n
 
-    def index_of(self, z: int) -> int:
+    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
         if not self.member(z):
             raise ValueError(f"{z} is not a member")
         return z // 2
@@ -149,13 +153,13 @@ class Primes(HelpSet):
     def member(self, z: int) -> bool:
         return primes.is_prime(z)
 
-    def enumerate(self, n: int) -> int:
-        return primes.nth_prime(n)
+    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
+        return primes.nth_prime(n, fuel)
 
-    def index_of(self, z: int) -> int:
+    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
         if not primes.is_prime(z):
             raise ValueError(f"{z} is not a member")
-        return primes.prime_index(z)
+        return primes.prime_index(z, fuel)
 
     def config(self) -> dict:
         return {"kind": "primes"}
@@ -164,40 +168,61 @@ class Primes(HelpSet):
 class SelfCode(HelpSet):
     """The set of prefix codes of a fixed sequence abar: element n is
     prefix_code(abar restricted to n+1 entries).  Any infinite subset
-    recovers abar, hence the whole set.  The code cache, like the prime
-    table it reads, is single-threaded: do not share one instance, or
-    help sets backed by primes, between threads."""
+    recovers abar, hence the whole set.
+
+    Membership and index are a lookup in the cache of codes: it grows
+    while its last code is below z, and bisection finds z among the
+    codes or not.  Each code is the one before times a prime power, so
+    at least twice it, and a lookup grows at most z.bit_length() codes.
+    By unique factorisation this agrees with decoding z and comparing
+    its digits with abar.  A lookup adds no code whose prime power alone
+    exceeds 10 z, and `enumerate` adds none past the first that str(int)
+    cannot print; it multiplies out larger elements without keeping
+    them.  The cache, like the prime table it reads, is single-threaded:
+    do not share one instance, or help sets backed by primes, between
+    threads."""
 
     def __init__(self, abar: EventuallyPeriodicSeq):
         self.abar = abar
-        self._codes: list[int] = []
+        # the code of every prefix of abar so far, from the empty one
+        self._codes: list[int] = [1]
 
-    def _code(self, n: int) -> int:
-        while len(self._codes) <= n:
-            k = len(self._codes)
-            prev = self._codes[-1] if self._codes else 1
-            self._codes.append(prev * primes.nth_prime(k) ** (self.abar.value(k) + 1))
-        return self._codes[n]
+    def _factor(self, k: int) -> tuple[int, int]:
+        """The prime and exponent that code k adds to code k-1."""
+        return primes.nth_prime(k), self.abar.value(k) + 1
 
-    def _digits(self, z: int) -> tuple[int, ...] | None:
-        """The decoded digits of z if z is a member, else None."""
-        try:
-            digits = decode_prefix_code(z)
-        except MalformedCodeElement:
+    def _position(self, z: int) -> int | None:
+        """The index of z among the codes, or None if z is none of them."""
+        if z < 2:
             return None
-        return digits if digits == self.abar.values(len(digits)) else None
+        codes = self._codes
+        while codes[-1] < z:
+            p, e = self._factor(len(codes) - 1)
+            if e * math.log10(p) > math.log10(z) + 1:
+                return None  # z lies between the last code and the next
+            codes.append(codes[-1] * p**e)
+        i = bisect.bisect_left(codes, z, 1)
+        return i - 1 if codes[i] == z else None
 
     def member(self, z: int) -> bool:
-        return self._digits(z) is not None
+        return self._position(z) is not None
 
-    def enumerate(self, n: int) -> int:
-        return self._code(n)
+    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
+        codes = self._codes
+        while len(codes) <= n + 1 and printable(codes[-1]):
+            p, e = self._factor(len(codes) - 1)
+            codes.append(codes[-1] * p**e)
+        code = codes[min(n + 1, len(codes) - 1)]
+        for k in range(len(codes) - 1, n + 1):
+            p, e = self._factor(k)
+            code *= p**e
+        return code
 
-    def index_of(self, z: int) -> int:
-        digits = self._digits(z)
-        if digits is None:
+    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
+        n = self._position(z)
+        if n is None:
             raise ValueError(f"{z} is not a member")
-        return len(digits) - 1
+        return n
 
     def config(self) -> dict:
         return {"kind": "selfcode", "abar": self.abar.config()}
@@ -228,14 +253,14 @@ class ExplicitPeriodic(HelpSet):
             return self.prefix[z] == 1
         return self.cycle[(z - len(self.prefix)) % len(self.cycle)] == 1
 
-    def enumerate(self, n: int) -> int:
+    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
         if n < len(self._prefix_ones):
             return self._prefix_ones[n]
         m = n - len(self._prefix_ones)
         block, r = divmod(m, len(self._cycle_ones))
         return len(self.prefix) + block * len(self.cycle) + self._cycle_ones[r]
 
-    def index_of(self, z: int) -> int:
+    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
         if not self.member(z):
             raise ValueError(f"{z} is not a member")
         if z < len(self.prefix):
@@ -272,14 +297,14 @@ def help_set_from_config(cfg, path: str = "help") -> HelpSet:
     raise ConfigError(f"{path}.kind", f"unknown help set kind {kind!r}")
 
 
-def eta(A: HelpSet, z: int) -> int:
+def eta(A: HelpSet, z: int, fuel: int = DEFAULT_FUEL) -> int:
     """Label of the member z: theta of its enumeration index."""
-    return theta(A.index_of(z))
+    return theta(A.index_of(z, fuel))
 
 
-def eta_fiber_element(A: HelpSet, m: int, k: int) -> int:
+def eta_fiber_element(A: HelpSet, m: int, k: int, fuel: int = DEFAULT_FUEL) -> int:
     """k-th smallest member of A carrying label m."""
-    return A.enumerate(theta_fiber(m, k))
+    return A.enumerate(theta_fiber(m, k), fuel)
 
 
 def selfcode_element(abar: EventuallyPeriodicSeq, n: int) -> int:
@@ -305,13 +330,13 @@ def recover_from_subset(elements, n: int, fuel: int = 100_000) -> tuple[int, ...
     raise FuelExhausted(f"no element of code length >= {n} within {fuel} reads")
 
 
-def decode(A: HelpSet, g) -> tuple[int, ...]:
+def decode(A: HelpSet, g, fuel: int = DEFAULT_FUEL) -> tuple[int, ...]:
     """Labels of g's entries that land in A, in positional order.
 
     Uses only membership tests and enumeration indices of A, plus the
     values of g.  A prefix with no hits decodes to the empty sequence.
     """
-    return tuple(eta(A, z) for z in g if A.member(z))
+    return tuple(eta(A, z, fuel) for z in g if A.member(z))
 
 
 def difference_prefix(B, A, count: int, fuel: int = 100_000) -> list[int]:

@@ -35,10 +35,17 @@ from .conditions import (
     floor_max,
     meet,
 )
-from .errors import ConfigError, FuelExhausted, WitnessStemMismatch
-from .serialize import build_at, check_keys, nat, nat_list, nonempty_list
-
-DEFAULT_FUEL = 100_000
+from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, WitnessStemMismatch
+from .serialize import (
+    build_at,
+    check_keys,
+    decimal_digits,
+    nat,
+    nat_list,
+    nonempty_list,
+    printable,
+    str_digit_limit,
+)
 
 
 class DenseSet:
@@ -359,11 +366,18 @@ def extend_in_A(
 
 def code_step(T: HechlerCondition, A, m: int, fuel: int = DEFAULT_FUEL) -> HechlerCondition:
     """Extend the stem by one member of A carrying label m (the least
-    legal one), deliberately breaking stem avoidance to record m."""
+    legal one), deliberately breaking stem avoidance to record m.  A
+    member too long for str(int), which no transcript could hold, raises
+    FuelExhausted."""
     from .coding import eta_fiber_element
 
     for k in range(fuel):
-        z = eta_fiber_element(A, m, k)
+        z = eta_fiber_element(A, m, k, fuel)
+        if not printable(z):
+            raise FuelExhausted(
+                f"the label-{m} member has {decimal_digits(z)} digits, past the "
+                f"{str_digit_limit()}-digit limit of str(int)"
+            )
         if T.admits_step(T.stem, z):
             return _restrict(T, T.stem + (z,))
     raise FuelExhausted(f"no legal label-{m} member of the help set within {fuel} probes")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+DEFAULT_FUEL = 100_000
+
 
 class GencoError(Exception):
     """Base class for library errors."""

@@ -191,6 +191,7 @@ def verify_transcript(
     A: HelpSet | None,
     x: EventuallyPeriodicSeq | None,
     t: RunTranscript,
+    fuel: int = DEFAULT_FUEL,
 ) -> VerificationReport:
     """Re-check a transcript against the given roster, help set, and
     target without re-running the builder.
@@ -198,7 +199,8 @@ def verify_transcript(
     Checks: header consistency; step structure; the descending chain
     (exact inclusion, each failure with a witness node); dense-set
     membership and stem avoidance at every MEET; coded value, membership
-    and label at every CODE; footer; and the decoded prefix.
+    and label at every CODE; footer; and the decoded prefix.  `fuel`
+    bounds the prime indices of the help-set lookups.
     """
     checks: list[CheckResult] = []
 
@@ -248,7 +250,7 @@ def verify_transcript(
                 f"stem did not grow by exactly the recorded value {e.z}")
             if A is not None and x is not None and grew:
                 z = stem[-1]
-                ok = A.member(z) and eta(A, z) == x.value(e.index)
+                ok = A.member(z) and eta(A, z, fuel) == x.value(e.index)
                 add("code.value", locus, ok,
                     f"z={z} not a member with label {x.value(e.index)}")
             code_count += 1
@@ -257,7 +259,7 @@ def verify_transcript(
     add("footer.g", "-", t.g_prefix == prev.stem,
         f"footer {t.g_prefix} != final stem {prev.stem}")
     if A is not None and x is not None:
-        decoded = decode(A, t.g_prefix)
+        decoded = decode(A, t.g_prefix, fuel)
         want = x.values(code_count)
         add("decode.prefix", "-", decoded[: len(want)] == want,
             f"decoded {decoded[:len(want)]} != target {want}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 
 from .errors import ConfigError, MalformedTranscript
 
@@ -26,6 +28,29 @@ def roster_hash(configs: list[dict]) -> str:
 def render_seq(xs) -> str:
     """Render a sequence of naturals as ``[a,b,c]`` with no spaces."""
     return "[" + ",".join(map(str, xs)) + "]"
+
+
+def str_digit_limit() -> int:
+    """Python's limit on the digits of str(int); 0 when there is none
+    (before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def printable(z) -> bool:
+    """Whether str(z) stays within Python's int-to-str digit limit."""
+    limit = str_digit_limit()
+    return not limit or z < (1 << 3 * limit) or z < 10**limit
+
+
+def decimal_digits(z: int) -> int:
+    """The number of decimal digits of z > 0, counted without str(z).
+    It is exact: z is compared with a power of ten only where log10(z)
+    lies too near an integer for the float to round safely."""
+    x = math.log10(z)
+    k = round(x)
+    if abs(x - k) > 1e-6:
+        return int(x) + 1
+    return k + (z >= 10**k)
 
 
 def parse_seq(text: str) -> tuple[int, ...]:

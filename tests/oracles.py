@@ -9,10 +9,19 @@ check that the oracle never finds such a node where `extends` says YES.
 rendering and parsing: every line is rendered and parsed in full.  The
 library's codec must agree with them byte for byte, value for value and
 error message for error message.
+
+`nth_prime`, `is_prime` and `prime_index` are the prime table before the
+sieve: it grows one trial division at a time, in a table of its own.
+`selfcode_digits` is `SelfCode`'s membership test before the code-cache
+lookup: it factors z with `decode_prefix_code`.  The library must give
+the same answers.
 """
 
 from __future__ import annotations
 
+import bisect
+
+from genco.coding import SelfCode, decode_prefix_code
 from genco.cohenpair import PairStage, PairTranscript
 from genco.conditions import (
     HechlerCondition,
@@ -23,7 +32,7 @@ from genco.conditions import (
     parse_condition,
     render_condition,
 )
-from genco.errors import MalformedTranscript
+from genco.errors import MalformedCodeElement, MalformedTranscript
 from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
 from genco.serialize import canonical_json, parse_bits, parse_seq, render_bits, render_seq
 
@@ -187,3 +196,60 @@ def parse_pair_transcript(text: str) -> PairTranscript:
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
     return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)
+
+
+_primes: list[int] = [2, 3, 5, 7, 11, 13]
+
+
+def _is_prime_trial(candidate: int, known: list[int]) -> bool:
+    for p in known:
+        if p * p > candidate:
+            return True
+        if candidate % p == 0:
+            return False
+    raise AssertionError("prime cache too short for candidate")
+
+
+def _grow_until(pred) -> None:
+    while not pred(_primes):
+        candidate = _primes[-1] + 2
+        while not _is_prime_trial(candidate, _primes):
+            candidate += 2
+        _primes.append(candidate)
+
+
+def nth_prime(n: int) -> int:
+    """The n-th prime, 0-indexed: nth_prime(0) = 2."""
+    if n < 0:
+        raise ValueError("prime index must be a natural")
+    _grow_until(lambda ps: len(ps) > n)
+    return _primes[n]
+
+
+def is_prime(z: int) -> bool:
+    if z < 2:
+        return False
+    _grow_until(lambda ps: ps[-1] * ps[-1] >= z)
+    for p in _primes:
+        if p * p > z:
+            return True
+        if z % p == 0:
+            return z == p
+    return True
+
+
+def prime_index(z: int) -> int:
+    """Position of the prime z in the ascending enumeration of primes."""
+    if not is_prime(z):
+        raise ValueError(f"{z} is not prime")
+    _grow_until(lambda ps: ps[-1] >= z)
+    return bisect.bisect_left(_primes, z)
+
+
+def selfcode_digits(A: SelfCode, z: int) -> tuple[int, ...] | None:
+    """The decoded digits of z if z is a member of A, else None."""
+    try:
+        digits = decode_prefix_code(z)
+    except MalformedCodeElement:
+        return None
+    return digits if digits == A.abar.values(len(digits)) else None

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,7 +20,7 @@ from genco.cli import (
     parse_config,
 )
 from genco.serialize import canonical_json
-from corpus import build_transcript, corpus_paths, run_cli
+from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
 
 HECHLER_CFG = {
     "poset": "hechler",
@@ -336,6 +340,65 @@ class TestCommands:
         assert code == EXIT_OK and out.startswith("C1 ") and err == ""
         code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert code == EXIT_OK and out.endswith("PASS\n")
+
+
+def run_genco(argv: list[str], fuel: str | None = None) -> tuple[int, str, str, float]:
+    """Run the genco command in a fresh process: exit code, stdout,
+    stderr and wall seconds."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("GENCO_FUEL", None)
+    if fuel is not None:
+        env["GENCO_FUEL"] = fuel
+    start = time.perf_counter()
+    p = subprocess.run(
+        [sys.executable, "-m", "genco", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return p.returncode, p.stdout, p.stderr, time.perf_counter() - start
+
+
+class TestTooLarge:
+    """Numbers too large for the fuel or for str(int) end with exit 3
+    within 2 s, with no traceback."""
+
+    def _build(self, tmp_path, help_cfg: dict, label: int):
+        cfg = dict(HECHLER_CFG, help=help_cfg, target={"prefix": [], "cycle": [label]}, steps=1)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        return run_genco(["build", "--config", str(cf), "--out", str(tmp_path / "t")])
+
+    def test_prime_label_30(self, tmp_path):
+        code, out, err, seconds = self._build(tmp_path, {"kind": "primes"}, 30)
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert f"prime index {2**30 - 1} " in err and "(step 0)" in err
+        assert seconds < 2
+
+    def test_selfcode_element_past_digit_limit(self, tmp_path):
+        help_cfg = {"kind": "selfcode", "abar": {"prefix": [], "cycle": [1]}}
+        code, out, err, seconds = self._build(tmp_path, help_cfg, 10)
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert "6974 digits" in err and "(step 0)" in err
+        assert seconds < 2
+
+    def test_decode_large_prime(self, tmp_path):
+        hf = tmp_path / "h.json"
+        hf.write_text('{"kind":"primes"}')
+        code, out, err, seconds = run_genco(["decode", "--help-config", str(hf), "--g", f"[4,{10**15 + 37}]"])
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert str(10**15 + 37) in err
+        assert seconds < 2
+
+    def test_verify_and_decode_take_the_fuel(self, tmp_path):
+        # the largest CODE value of this golden is 7, prime index 3
+        name = "build_primes_stemlen"
+        args = ["verify", "--config", str(CONFIG_DIR / f"{name}.json"),
+                "--transcript", str(GOLDEN_DIR / f"{name}.transcript")]
+        assert run_genco(args, fuel="4")[0] == EXIT_OK
+        code, out, err, _ = run_genco(args, fuel="3")
+        assert code == EXIT_FUEL and out == "" and "index 3 of the prime 7" in err
+        hf = tmp_path / "h.json"
+        hf.write_text('{"kind":"primes"}')
+        assert run_genco(["decode", "--help-config", str(hf), "--g", "[7]"], fuel="4")[:2] == (EXIT_OK, "[2]\n")
+        assert run_genco(["decode", "--help-config", str(hf), "--g", "[7]"], fuel="3")[0] == EXIT_FUEL
 
 
 class TestCorpus:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from genco import (
     theta_fiber,
 )
 from genco.coding import prefix_code
+from genco.primes import nth_prime
+import oracles
 from conftest import random_seq
 
 EVENS = Evens()
@@ -130,7 +133,7 @@ class TestSelfCode:
         assert not A.member(12)  # valid code of (1,0), but not a prefix
         assert not A.member(9)  # 2 does not divide
 
-    def test_index_of_decodes_once(self, monkeypatch):
+    def test_index_of_decodes_nothing(self, monkeypatch):
         from genco import coding
 
         decoded = []
@@ -138,10 +141,45 @@ class TestSelfCode:
         monkeypatch.setattr(coding, "decode_prefix_code", lambda z: decoded.append(z) or real(z))
         A = SelfCode(EventuallyPeriodicSeq((2, 0, 1), (1,)))
         assert A.index_of(600) == 2
-        assert decoded == [600]
         for z in (12, 9, 1):
             with pytest.raises(ValueError):
                 A.index_of(z)
+        assert decoded == []
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_lookup_agrees_with_decoding(self, warm):
+        rng = random.Random(31)
+        for _ in range(6):
+            abar, other = random_seq(rng, max_entry=3), random_seq(rng, max_entry=3)
+            A = SelfCode(abar)
+            if warm:
+                A.enumerate(400)
+            codes = [selfcode_element(abar, n) for n in range(80)]
+            big, k = 1, 0
+            while big <= 10**2999:
+                big *= nth_prime(k) ** (abar.value(k) + 1)
+                k += 1
+            zs = [0, 1, 9, 12, 10**2999 + 7, big * 2, big * 3]
+            zs += [c + d for c in codes for d in (-1, 0, 1)]
+            zs += [selfcode_element(other, n) for n in range(80)]
+            for z in zs:
+                digits = oracles.selfcode_digits(A, z)
+                assert A.member(z) == (digits is not None), z
+                if digits is None:
+                    with pytest.raises(ValueError):
+                        A.index_of(z)
+                else:
+                    assert A.index_of(z) == len(digits) - 1
+
+    def test_lookup_makes_no_code_past_z(self):
+        A = SelfCode(EventuallyPeriodicSeq((), (10**9,)))
+        start = time.perf_counter()
+        for z in (0, 1, 2, 5, 3**40, 10**2999 + 7):
+            assert not A.member(z)
+            with pytest.raises(ValueError):
+                A.index_of(z)
+        assert A._codes == [1]
+        assert time.perf_counter() - start < 0.5
 
     def test_recover_every_second(self):
         abar = EventuallyPeriodicSeq((2, 0, 1, 1), (1,))

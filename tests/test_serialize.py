@@ -4,13 +4,34 @@ from __future__ import annotations
 
 import pytest
 
-from genco.serialize import BitsCodec, SeqCodec, parse_bits, parse_seq, render_bits, render_seq
+from genco.serialize import (
+    BitsCodec,
+    SeqCodec,
+    decimal_digits,
+    parse_bits,
+    parse_seq,
+    printable,
+    render_bits,
+    render_seq,
+    str_digit_limit,
+)
 
 
 @pytest.mark.parametrize("text", ["[1,,2]", "[,1]", "[1,]", "[ 1]", "[+1]", "[-1]", "1,2", "[1"])
 def test_parse_seq_rejects(text):
     with pytest.raises(ValueError):
         parse_seq(text)
+
+
+def test_decimal_digits_and_the_str_limit():
+    limit = str_digit_limit()
+    for k in range(limit):
+        for z in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k):
+            if z:
+                assert decimal_digits(z) == len(str(z)), z
+    assert printable(10**limit - 1) and not printable(10**limit)
+    assert decimal_digits(10**limit) == limit + 1
+    assert decimal_digits(7**40000) == 33804  # 40000 * log10(7) = 33803.92
 
 
 def test_seq_round_trip():
