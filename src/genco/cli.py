@@ -149,7 +149,7 @@ def _cmd_cohen(args, out) -> int:
     if cfg.poset != "cohen":
         raise ConfigError("poset", "cohen requires a cohen config")
     r1, r2 = cfg.cohen_rosters()
-    c1, c2, t = cohenpair.build_pair(r1, r2, cfg.target(), cfg.steps)
+    c1, c2, t = cohenpair.build_pair(r1, r2, cfg.target(), cfg.steps, fuel=_fuel())
     _write(args.out, cohenpair.write_pair_transcript(t))
     print(f"C1 {render_bits(c1)}", file=out)
     print(f"C2 {render_bits(c2)}", file=out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import primes
 from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, MalformedCodeElement
-from .serialize import build_at, check_keys, nat_list, printable
+from .serialize import build_at, check_keys, nat_list, printable, str_digit_limit
 
 
 def theta(n: int) -> int:
@@ -176,9 +176,12 @@ class SelfCode(HelpSet):
     at least twice it, and a lookup grows at most z.bit_length() codes.
     By unique factorisation this agrees with decoding z and comparing
     its digits with abar.  A lookup adds no code whose prime power alone
-    exceeds 10 z, and `enumerate` adds none past the first that str(int)
-    cannot print; it multiplies out larger elements without keeping
-    them.  The cache, like the prime table it reads, is single-threaded:
+    exceeds 10 z.  `enumerate` adds no code past the first that str(int)
+    cannot print, and multiplies out larger elements without keeping
+    them.  Before it takes each prime power it adds the power's log10 to
+    that of the code so far: an element past both the digit limit of
+    str(int) and `fuel` digits raises FuelExhausted, and no such power is
+    taken.  The cache, like the prime table it reads, is single-threaded:
     do not share one instance, or help sets backed by primes, between
     threads."""
 
@@ -209,13 +212,23 @@ class SelfCode(HelpSet):
 
     def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
         codes = self._codes
-        while len(codes) <= n + 1 and printable(codes[-1]):
-            p, e = self._factor(len(codes) - 1)
-            codes.append(codes[-1] * p**e)
-        code = codes[min(n + 1, len(codes) - 1)]
+        if n + 1 < len(codes):
+            return codes[n + 1]
+        limit = str_digit_limit()
+        cap = max(limit, fuel)
+        code = codes[-1]
+        log10_code = math.log10(code)
         for k in range(len(codes) - 1, n + 1):
             p, e = self._factor(k)
+            log10_code += e * math.log10(p)
+            if log10_code > cap + 1:
+                raise FuelExhausted(
+                    f"selfcode element {n} has more than {cap} digits, past both the "
+                    f"fuel and the {limit}-digit limit of str(int)"
+                )
             code *= p**e
+            if len(codes) == k + 1 and printable(codes[-1]):
+                codes.append(code)
         return code
 
     def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:

@@ -10,11 +10,15 @@ The invariant is positional: wherever the finished c1 holds a 1, c2
 holds the next coded bit, so the pair decodes by reading c2 at the
 1-positions of c1.
 
+A string (`Bits`) is a `bytes` of 0/1 values: one byte per bit, and
+never tracked by the cyclic GC.  Membership tests, extension checks
+and the snapshot chain are C-level bytes operations (`in`, `endswith`,
+`startswith`, `+`).
+
 A pair transcript holds both end-of-stage snapshots on every STAGE
 line, so its bytes grow quadratically with the stages.  Each snapshot
-is rendered in full by `render_bits`, which is already a C-speed
-translate; the parser reads each snapshot from the one on the line
-before through a `BitsCodec`, which converts only the new bits.
+is rendered and parsed in full by `render_bits` and `parse_bits`, each
+a few C-level passes over the string.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coding import EventuallyPeriodicSeq
-from .errors import ConfigError, DenseContractError, MalformedTranscript
+from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
 from .generic import CheckResult, VerificationReport
 from .serialize import (
-    BitsCodec,
     canonical_json,
     check_keys,
     nat,
@@ -35,14 +38,14 @@ from .serialize import (
     tagged_line,
 )
 
-Bits = tuple[int, ...]
+Bits = bytes  # 0/1 values
 
 
 def as_bits(xs) -> Bits:
     bits = tuple(int(b) for b in xs)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"not a 0/1 sequence: {xs!r}")
-    return bits
+    return bytes(bits)
 
 
 class CohenDense:
@@ -55,6 +58,11 @@ class CohenDense:
     def extend(self, p: Bits) -> Bits:
         raise NotImplementedError
 
+    def growth(self, p: Bits) -> int:
+        """How many bits `extend(p)` appends.  The built-in sets answer
+        without building the extension."""
+        return len(self.extend(p)) - len(p)
+
     def config(self) -> dict:
         raise NotImplementedError
 
@@ -66,11 +74,13 @@ class ContainsSet(CohenDense):
             raise ValueError("substring must be nonempty")
 
     def member(self, p: Bits) -> bool:
-        n = len(self.w)
-        return any(p[i : i + n] == self.w for i in range(len(p) - n + 1))
+        return self.w in p
 
     def extend(self, p: Bits) -> Bits:
         return p if self.member(p) else p + self.w
+
+    def growth(self, p: Bits) -> int:
+        return 0 if self.member(p) else len(self.w)
 
     def config(self) -> dict:
         return {"type": "contains", "w": render_bits(self.w)}
@@ -86,7 +96,10 @@ class MinLenSet(CohenDense):
         return len(p) >= self.n
 
     def extend(self, p: Bits) -> Bits:
-        return p + (0,) * (self.n - len(p)) if len(p) < self.n else p
+        return p + bytes(self.n - len(p)) if len(p) < self.n else p
+
+    def growth(self, p: Bits) -> int:
+        return max(self.n - len(p), 0)
 
     def config(self) -> dict:
         return {"type": "min_len", "n": self.n}
@@ -99,10 +112,13 @@ class EndsWithSet(CohenDense):
             raise ValueError("suffix must be nonempty")
 
     def member(self, p: Bits) -> bool:
-        return len(p) >= len(self.w) and p[-len(self.w):] == self.w
+        return p.endswith(self.w)
 
     def extend(self, p: Bits) -> Bits:
         return p if self.member(p) else p + self.w
+
+    def growth(self, p: Bits) -> int:
+        return 0 if self.member(p) else len(self.w)
 
     def config(self) -> dict:
         return {"type": "ends_with", "w": render_bits(self.w)}
@@ -147,9 +163,12 @@ class PairTranscript:
     c2: Bits
 
 
-def _checked_extend(D: CohenDense, p: Bits, stage: int) -> Bits:
+def _checked_extend(D: CohenDense, p: Bits, stage: int, fuel: int) -> Bits:
+    grow = D.growth(p)
+    if grow > fuel:
+        raise FuelExhausted(f"stage {stage} would add {grow} bits, past the fuel of {fuel}", stage)
     p2 = D.extend(p)
-    if p2[: len(p)] != p:
+    if not p2.startswith(p):
         raise DenseContractError("extend did not return an extension", stage)
     if not D.member(p2):
         raise DenseContractError("extend output not a member", stage)
@@ -161,13 +180,16 @@ def build_pair(
     roster2: list[CohenDense],
     x: EventuallyPeriodicSeq,
     stages: int,
+    fuel: int = DEFAULT_FUEL,
 ) -> tuple[Bits, Bits, PairTranscript]:
     """Run the staged construction; both rosters are cycled.  Returns
-    the pair and a replayable transcript of end-of-stage snapshots."""
+    the pair and a replayable transcript of end-of-stage snapshots.  An
+    extension that would add more than `fuel` bits raises FuelExhausted
+    before it is built."""
     if stages < 0:
         raise ValueError("stages must be a natural")
-    p: Bits = ()
-    q: Bits = ()
+    p: Bits = b""
+    q: Bits = b""
     j = 0
     snaps: list[PairStage] = []
 
@@ -179,20 +201,19 @@ def build_pair(
 
     for i in range(stages):
         if roster1:
-            p2 = _checked_extend(roster1[i % len(roster1)], p, i)
-            for m in range(len(p), len(p2)):
-                if p2[m] == 1:
-                    q = q + (x_bit(j),)
+            p2 = _checked_extend(roster1[i % len(roster1)], p, i, fuel)
+            region = bytearray(len(p2) - len(p))  # q's bits over p's new region
+            for m, b in enumerate(p2[len(p):]):
+                if b == 1:
+                    region[m] = x_bit(j)
                     j += 1
-                else:
-                    q = q + (0,)
-            p = p2
+            p, q = p2, q + region
         if roster2:
-            q2 = _checked_extend(roster2[i % len(roster2)], q, i)
-            p = p + (0,) * (len(q2) - len(q))
+            q2 = _checked_extend(roster2[i % len(roster2)], q, i, fuel)
+            p += bytes(len(q2) - len(q))
             q = q2
-        p = p + (1,)
-        q = q + (x_bit(j),)
+        p += b"\x01"
+        q += bytes((x_bit(j),))
         j += 1
         snaps.append(PairStage(i, p, q))
     transcript = PairTranscript(
@@ -207,7 +228,7 @@ def build_pair(
     return p, q, transcript
 
 
-def decode_pair(c1: Bits, c2: Bits, count: int) -> Bits:
+def decode_pair(c1: Bits, c2: Bits, count: int) -> tuple[int, ...]:
     """Target bits read off c2 at the first `count` 1-positions of c1."""
     ones = [m for m, b in enumerate(c1) if b == 1]
     if len(ones) < count:
@@ -243,7 +264,6 @@ def parse_pair_transcript(text: str) -> PairTranscript:
     lines = text.splitlines()
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
-    ps, qs = BitsCodec(), BitsCodec()
     try:
         h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
         target = json.loads(tagged_line(lines, 2, "TARGET"))
@@ -253,9 +273,9 @@ def parse_pair_transcript(text: str) -> PairTranscript:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
                 raise MalformedTranscript(f"bad stage line: {line!r}")
-            snaps.append(PairStage(int(parts[1]), ps.parse(parts[3]), qs.parse(parts[5])))
-        c1 = ps.parse(tagged_line(lines, len(lines) - 2, "C1"))
-        c2 = qs.parse(tagged_line(lines, len(lines) - 1, "C2"))
+            snaps.append(PairStage(int(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
+        c1 = parse_bits(tagged_line(lines, len(lines) - 2, "C1"))
+        c2 = parse_bits(tagged_line(lines, len(lines) - 1, "C2"))
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
     return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)
@@ -284,15 +304,11 @@ def verify_pair(
 
     met1 = [False] * len(roster1)
     met2 = [False] * len(roster2)
-    prev_p: Bits = ()
-    prev_q: Bits = ()
+    prev_p: Bits = b""
+    prev_q: Bits = b""
     for s in t.snapshots:
         locus = f"stage {s.index}"
-        chain = (
-            s.p[: len(prev_p)] == prev_p
-            and s.q[: len(prev_q)] == prev_q
-            and len(s.p) == len(s.q)
-        )
+        chain = s.p.startswith(prev_p) and s.q.startswith(prev_q) and len(s.p) == len(s.q)
         add("chain", locus, chain, "snapshots not extensions of equal length")
         if roster1:
             D = roster1[s.index % len(roster1)]

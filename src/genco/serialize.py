@@ -7,6 +7,7 @@ files depend on it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -36,10 +37,15 @@ def str_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
+@functools.lru_cache(maxsize=2)
+def _ten_to(k: int) -> int:
+    return 10**k
+
+
 def printable(z) -> bool:
     """Whether str(z) stays within Python's int-to-str digit limit."""
     limit = str_digit_limit()
-    return not limit or z < (1 << 3 * limit) or z < 10**limit
+    return not limit or z < _ten_to(limit)
 
 
 def decimal_digits(z: int) -> int:
@@ -72,19 +78,22 @@ _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def render_bits(bits) -> str:
-    """Render a 0/1 sequence as a compact string; ``-`` when empty."""
+def render_bits(bits: bytes) -> str:
+    """Render bytes of 0/1 values as a compact string; ``-`` when empty."""
     if not bits:
         return "-"
-    return bytes(bits).translate(_BITS_TO_TEXT).decode("ascii")
+    return bits.translate(_BITS_TO_TEXT).decode("ascii")
 
 
-def parse_bits(text: str) -> tuple[int, ...]:
+def parse_bits(text: str) -> bytes:
+    """Inverse of `render_bits`: bytes of 0/1 values."""
     if text == "-":
-        return ()
-    if not text or text.strip("01"):
-        raise ValueError(f"bad bit string {text!r}")
-    return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
+        return b""
+    if text and text.isascii():
+        raw = text.encode("ascii")
+        if not raw.translate(None, b"01"):
+            return raw.translate(_TEXT_TO_BITS)
+    raise ValueError(f"bad bit string {text!r}")
 
 
 class SeqCodec:
@@ -102,13 +111,9 @@ class SeqCodec:
     order.
     """
 
-    _open, _sep, _close = "[", ",", "]"
-    _render = staticmethod(render_seq)
-    _parse = staticmethod(parse_seq)
-
     def __init__(self):
         self._seq: tuple[int, ...] = ()
-        self._text = self._render(())
+        self._text = "[]"
         self._head = ""  # "" while _seq is empty
 
     def render(self, xs) -> str:
@@ -118,9 +123,9 @@ class SeqCodec:
         if n and xs[:n] == self._seq:
             if len(xs) == n:
                 return self._text
-            text = self._head + self._sep + self._render(xs[n:])[len(self._open):]
+            text = self._head + "," + render_seq(xs[n:])[1:]
         else:
-            text = self._render(xs)
+            text = render_seq(xs)
         self._keep(xs, text)
         return text
 
@@ -129,7 +134,7 @@ class SeqCodec:
             return self._seq
         xs = self._extension(text)
         if xs is None:
-            xs = self._parse(text)
+            xs = parse_seq(text)
         self._keep(xs, text)
         return xs
 
@@ -140,27 +145,17 @@ class SeqCodec:
         if not head or not text.startswith(head):
             return None
         rest = text[len(head):]
-        if not rest.startswith(self._sep):
+        if not rest.startswith(","):
             return None
         try:
-            new = self._parse(self._open + rest[len(self._sep):])
+            new = parse_seq("[" + rest[1:])
         except ValueError:
             return None
         return self._seq + new if new else None
 
     def _keep(self, xs, text: str) -> None:
         self._seq, self._text = xs, text
-        self._head = text[: len(text) - len(self._close)] if xs else ""
-
-
-class BitsCodec(SeqCodec):
-    """`render_bits` and `parse_bits` for a run of bit strings in which
-    each usually extends the one before; see `SeqCodec`.  Every
-    character is an entry, so every position is an entry boundary."""
-
-    _open = _sep = _close = ""
-    _render = staticmethod(render_bits)
-    _parse = staticmethod(parse_bits)
+        self._head = text[:-1] if xs else ""
 
 
 def tagged_line(lines: list[str], idx: int, tag: str) -> str:

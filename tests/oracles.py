@@ -10,6 +10,12 @@ rendering and parsing: every line is rendered and parsed in full.  The
 library's codec must agree with them byte for byte, value for value and
 error message for error message.
 
+`render_bits`, `parse_bits`, `decode_pair` and `verify_pair` are the
+pair code from when a bit string was a tuple of ints; `cohen_member`
+holds the membership tests of the built-in cohen dense sets from then.
+The pair oracles read and return such tuples; `pair_as_tuples` converts
+a library `PairTranscript`, whose strings are bytes, for them.
+
 `nth_prime`, `is_prime` and `prime_index` are the prime table before the
 sieve: it grows one trial division at a time, in a table of its own.
 `selfcode_digits` is `SelfCode`'s membership test before the code-cache
@@ -23,6 +29,7 @@ import bisect
 
 from genco.coding import SelfCode, decode_prefix_code
 from genco.cohenpair import PairStage, PairTranscript
+from genco.generic import CheckResult, VerificationReport
 from genco.conditions import (
     HechlerCondition,
     Node,
@@ -34,7 +41,7 @@ from genco.conditions import (
 )
 from genco.errors import MalformedCodeElement, MalformedTranscript
 from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
-from genco.serialize import canonical_json, parse_bits, parse_seq, render_bits, render_seq
+from genco.serialize import canonical_json, parse_seq, render_seq, roster_hash
 
 
 def extends_bounded(
@@ -196,6 +203,125 @@ def parse_pair_transcript(text: str) -> PairTranscript:
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
     return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)
+
+
+_BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def render_bits(bits) -> str:
+    """Render a 0/1 sequence as a compact string; ``-`` when empty."""
+    if not bits:
+        return "-"
+    return bytes(bits).translate(_BITS_TO_TEXT).decode("ascii")
+
+
+def parse_bits(text: str) -> tuple[int, ...]:
+    if text == "-":
+        return ()
+    if not text or text.strip("01"):
+        raise ValueError(f"bad bit string {text!r}")
+    return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
+
+
+def pair_as_tuples(t: PairTranscript) -> PairTranscript:
+    """`t` with every string a tuple of ints."""
+    snaps = tuple(PairStage(s.index, tuple(s.p), tuple(s.q)) for s in t.snapshots)
+    return PairTranscript(
+        t.roster1_hash, t.roster2_hash, t.target_config, t.stages, snaps, tuple(t.c1), tuple(t.c2)
+    )
+
+
+def cohen_member(D, p: tuple[int, ...]) -> bool:
+    """Whether the tuple p lies in the built-in cohen dense set D."""
+    cfg = D.config()
+    if cfg["type"] == "min_len":
+        return len(p) >= cfg["n"]
+    w = parse_bits(cfg["w"])
+    if cfg["type"] == "contains":
+        n = len(w)
+        return any(p[i : i + n] == w for i in range(len(p) - n + 1))
+    return len(p) >= len(w) and p[-len(w):] == w
+
+
+def decode_pair(c1, c2, count: int) -> tuple[int, ...]:
+    """Target bits read off c2 at the first `count` 1-positions of c1."""
+    ones = [m for m, b in enumerate(c1) if b == 1]
+    if len(ones) < count:
+        raise ValueError(f"c1 has only {len(ones)} ones, need {count}")
+    out = []
+    for m in ones[:count]:
+        if m >= len(c2):
+            raise ValueError(f"position {m} outside c2")
+        out.append(c2[m])
+    return tuple(out)
+
+
+def verify_pair(roster1, roster2, x, t: PairTranscript) -> VerificationReport:
+    """Independent checks: headers; snapshot chain; some prefix of each
+    stage's snapshot lying in the scheduled dense set; the positional
+    ones-are-coded invariant; roster coverage; footer; decoded prefix."""
+    checks: list[CheckResult] = []
+
+    def add(check: str, locus: str, ok: bool, detail: str = ""):
+        checks.append(CheckResult(check, locus, ok, "" if ok else detail))
+
+    add("header.roster1", "-", t.roster1_hash == roster_hash([D.config() for D in roster1]),
+        "roster1 hash mismatch")
+    add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
+        "roster2 hash mismatch")
+    add("header.target", "-", t.target_config == x.config(), "target mismatch")
+    add("header.stages", "-", t.stages == len(t.snapshots), "stage count mismatch")
+
+    met1 = [False] * len(roster1)
+    met2 = [False] * len(roster2)
+    prev_p: tuple[int, ...] = ()
+    prev_q: tuple[int, ...] = ()
+    for s in t.snapshots:
+        locus = f"stage {s.index}"
+        chain = (
+            s.p[: len(prev_p)] == prev_p
+            and s.q[: len(prev_q)] == prev_q
+            and len(s.p) == len(s.q)
+        )
+        add("chain", locus, chain, "snapshots not extensions of equal length")
+        if roster1:
+            D = roster1[s.index % len(roster1)]
+            hit = any(
+                cohen_member(D, s.p[:n]) for n in range(len(prev_p), len(s.p) + 1)
+            )
+            add("meet1", locus, hit, "no prefix of this stage lies in the dense set")
+            if hit:
+                met1[s.index % len(roster1)] = True
+        if roster2:
+            D = roster2[s.index % len(roster2)]
+            hit = any(
+                cohen_member(D, s.q[:n]) for n in range(len(prev_q), len(s.q) + 1)
+            )
+            add("meet2", locus, hit, "no prefix of this stage lies in the dense set")
+            if hit:
+                met2[s.index % len(roster2)] = True
+        prev_p, prev_q = s.p, s.q
+
+    add("footer.c1", "-", t.c1 == prev_p, "C1 differs from the last snapshot")
+    add("footer.c2", "-", t.c2 == prev_q, "C2 differs from the last snapshot")
+    add("coverage.roster1", "-", all(met1), f"unmet dense sets {[i for i, m in enumerate(met1) if not m]}")
+    add("coverage.roster2", "-", all(met2), f"unmet dense sets {[i for i, m in enumerate(met2) if not m]}")
+
+    j = 0
+    bad = None
+    for m, b in enumerate(t.c1):
+        if b == 1:
+            if m >= len(t.c2) or t.c2[m] != x.value(j):
+                bad = m
+                break
+            j += 1
+    add("ones_coded", "-" if bad is None else f"position {bad}", bad is None,
+        "a 1-position of c1 does not carry the next target bit")
+    if bad is None:
+        decoded = decode_pair(t.c1, t.c2, j)
+        add("decode", "-", decoded == x.values(j), "decode_pair disagrees with target")
+    return VerificationReport(tuple(checks))
 
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13]

@@ -379,6 +379,34 @@ class TestTooLarge:
         assert "6974 digits" in err and "(step 0)" in err
         assert seconds < 2
 
+    @pytest.mark.parametrize("entry", [10**7, 10**8])
+    def test_selfcode_power_past_digit_limit(self, tmp_path, entry):
+        # 3**(entry+1) is never taken: its size is known from logarithms
+        help_cfg = {"kind": "selfcode", "abar": {"prefix": [], "cycle": [entry]}}
+        code, out, err, seconds = self._build(tmp_path, help_cfg, 1)
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert "selfcode element 1 has more than" in err and "(step 0)" in err
+        assert seconds < 2
+
+    def _cohen(self, tmp_path, n: int, fuel: str | None = None):
+        cfg = dict(COHEN_CFG, dense=[{"type": "min_len", "n": n}], dense2=[], stages=1)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        return run_genco(["cohen", "--config", str(cf), "--out", str(tmp_path / "t")], fuel=fuel)
+
+    def test_cohen_min_len_past_fuel(self, tmp_path):
+        code, out, err, seconds = self._cohen(tmp_path, 10**18)
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert f"stage 0 would add {10**18} bits" in err
+        assert seconds < 2
+
+    def test_cohen_takes_the_fuel(self, tmp_path):
+        code, out, err, _ = self._cohen(tmp_path, 51, fuel="50")
+        assert code == EXIT_FUEL and out == "" and "past the fuel of 50" in err
+        code, out, err, _ = self._cohen(tmp_path, 50, fuel="50")
+        assert code == EXIT_OK and err == ""
+        assert out == f"C1 {'0' * 50}1\nC2 {'0' * 50}1\n"
+
     def test_decode_large_prime(self, tmp_path):
         hf = tmp_path / "h.json"
         hf.write_text('{"kind":"primes"}')

@@ -11,6 +11,7 @@ from genco import (
     DenseContractError,
     EndsWithSet,
     EventuallyPeriodicSeq,
+    FuelExhausted,
     MinLenSet,
     build_pair,
     cohen_from_config,
@@ -19,7 +20,8 @@ from genco import (
     verify_pair,
     write_pair_transcript,
 )
-from genco.cohenpair import CohenDense, PairTranscript
+from genco.cohenpair import CohenDense, PairStage, PairTranscript
+import oracles
 from conftest import random_bit_seq
 
 
@@ -41,17 +43,17 @@ def random_cohen_roster(rng: random.Random, max_size=8):
 class TestBuild:
     def test_markers_only(self):
         c1, c2, _ = build_pair([], [], EventuallyPeriodicSeq((1, 0, 1), (0,)), 3)
-        assert c1 == (1, 1, 1) and c2 == (1, 0, 1)
+        assert c1 == b"\x01\x01\x01" and c2 == b"\x01\x00\x01"
 
     def test_garbage_region(self):
         c1, c2, _ = build_pair(
             [ContainsSet("00")], [], EventuallyPeriodicSeq((1,), (0,)), 1
         )
-        assert c1 == (0, 0, 1) and c2 == (0, 0, 1)
+        assert c1 == b"\x00\x00\x01" and c2 == b"\x00\x00\x01"
 
     def test_zero_stages(self):
         c1, c2, t = build_pair([], [], EventuallyPeriodicSeq((1,), (0,)), 0)
-        assert c1 == () and c2 == () and t.snapshots == ()
+        assert c1 == b"" and c2 == b"" and t.snapshots == ()
 
     def test_non_bit_target_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +65,7 @@ class TestBuild:
                 return False
 
             def extend(self, p):
-                return p + (0,)
+                return p + b"\x00"
 
             def config(self):
                 return {"type": "min_len", "n": 0}
@@ -71,6 +73,15 @@ class TestBuild:
         with pytest.raises(DenseContractError) as info:
             build_pair([Broken()], [], EventuallyPeriodicSeq((1,), (0,)), 1)
         assert info.value.stage == 0
+
+    def test_extension_past_fuel(self):
+        # a stage whose extension would pass the fuel raises before it is built
+        x = EventuallyPeriodicSeq((1,), (0,))
+        assert build_pair([], [MinLenSet(5)], x, 2, fuel=5)[0] == b"\x00" * 5 + b"\x01\x01"
+        for r1, r2, stage in (([MinLenSet(10**18)], [], 0), ([], [MinLenSet(3), MinLenSet(10**18)], 1)):
+            with pytest.raises(FuelExhausted) as info:
+                build_pair(r1, r2, x, 2, fuel=5)
+            assert info.value.step == stage and "past the fuel of 5" in str(info.value)
 
     def test_random_runs_recover_target(self):
         rng = random.Random(31337)
@@ -127,7 +138,7 @@ class TestTranscript:
         # flip c2 at a 1-position of c1, coherently with the snapshot
         snaps = list(t.snapshots)
         last = snaps[-1]
-        c2 = last.q[:-1] + (1 - last.q[-1],)
+        c2 = last.q[:-1] + bytes((1 - last.q[-1],))
         snaps[-1] = type(last)(last.index, last.p, c2)
         bad = PairTranscript(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
@@ -143,10 +154,10 @@ class TestTranscript:
         x = EventuallyPeriodicSeq((1, 1, 1), (1,))
         c1, c2, t = build_pair([ContainsSet("0")], [], x, 1)
         assert c1[0] == 0 and c2[0] == 0
-        snaps = [type(s)(s.index, (1,) + s.p[1:], s.q) for s in t.snapshots]
+        snaps = [type(s)(s.index, b"\x01" + s.p[1:], s.q) for s in t.snapshots]
         bad = PairTranscript(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
-            tuple(snaps), (1,) + c1[1:], c2,
+            tuple(snaps), b"\x01" + c1[1:], c2,
         )
         report = verify_pair([ContainsSet("0")], [], x, bad)
         assert not report.ok
@@ -171,8 +182,89 @@ class TestConfigs:
             assert cohen_from_config(cfg).config() == cfg
 
     def test_membership_semantics(self):
-        assert ContainsSet("01").member((1, 0, 1))
-        assert not ContainsSet("01").member((1, 1))
-        assert MinLenSet(2).member((0, 0))
-        assert EndsWithSet("10").member((0, 1, 0))
-        assert not EndsWithSet("10").member((0, 0, 1))
+        assert ContainsSet("01").member(b"\x01\x00\x01")
+        assert not ContainsSet("01").member(b"\x01\x01")
+        assert MinLenSet(2).member(b"\x00\x00")
+        assert EndsWithSet("10").member(b"\x00\x01\x00")
+        assert not EndsWithSet("10").member(b"\x00\x00\x01")
+
+
+def _flip(bits: bytes, m: int) -> bytes:
+    return bits[:m] + bytes((1 - bits[m],)) + bits[m + 1 :]
+
+
+def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscript:
+    """`t` with one kind of damage, at a stage chosen by `rng`."""
+    snaps = list(t.snapshots)
+    stages, c1, c2 = t.stages, t.c1, t.c2
+    i = rng.randrange(len(snaps) - 1)
+    s = snaps[i]
+    if kind == "flip":
+        if rng.random() < 0.5:
+            snaps[i] = PairStage(s.index, _flip(s.p, rng.randrange(len(s.p))), s.q)
+        else:
+            snaps[i] = PairStage(s.index, s.p, _flip(s.q, rng.randrange(len(s.q))))
+    elif kind == "no_chain":
+        # two stages swap their strings: the later stage's are the shorter
+        nxt = snaps[i + 1]
+        snaps[i], snaps[i + 1] = PairStage(s.index, nxt.p, nxt.q), PairStage(nxt.index, s.p, s.q)
+    elif kind == "truncate":
+        cut = rng.randrange(len(s.p))
+        snaps[i] = PairStage(s.index, s.p[:cut], s.q[:cut])
+    elif kind == "unequal":
+        snaps[i] = PairStage(s.index, s.p, s.q + b"\x00")
+    elif kind == "footer":
+        c1, c2 = (_flip(c1, rng.randrange(len(c1))), c2) if rng.random() < 0.5 else (c1, c2[:-1])
+    elif kind == "unmet":
+        # a shorter run, consistent in itself: the sets scheduled only
+        # in the dropped stages go unmet
+        snaps = snaps[: i + 1]
+        stages, c1, c2 = len(snaps), snaps[-1].p, snaps[-1].q
+    else:
+        raise AssertionError(kind)
+    return PairTranscript(t.roster1_hash, t.roster2_hash, t.target_config, stages, tuple(snaps), c1, c2)
+
+
+FORGERIES = ("flip", "no_chain", "truncate", "unequal", "footer", "unmet")
+
+
+class TestVerifierOracle:
+    """`verify_pair` on bytes against the tuple verifier it replaced,
+    kept in `tests/oracles.py`: the same checks, loci, verdicts and
+    details, honest or forged."""
+
+    @staticmethod
+    def _same_report(r1, r2, x, t):
+        report = verify_pair(r1, r2, x, t)
+        assert report.checks == oracles.verify_pair(r1, r2, x, oracles.pair_as_tuples(t)).checks
+        return report
+
+    @staticmethod
+    def _run(rng: random.Random):
+        r1, r2 = random_cohen_roster(rng, 4), random_cohen_roster(rng, 4)
+        x = random_bit_seq(rng)
+        return r1, r2, x, build_pair(r1, r2, x, rng.randrange(4, 12))[2]
+
+    def test_honest_runs(self):
+        rng = random.Random(4001)
+        for _ in range(30):
+            assert self._same_report(*self._run(rng)).ok
+
+    @pytest.mark.parametrize("kind", FORGERIES)
+    def test_forgeries(self, kind):
+        rng = random.Random(f"forge-{kind}")
+        reports = []
+        for _ in range(40):
+            r1, r2, x, t = self._run(rng)
+            reports.append(self._same_report(r1, r2, x, forge_pair(rng, t, kind)))
+        failed = {c.check for r in reports for c in r.failures()}
+        if kind == "unmet":
+            # a dropped stage need not have been the only one of its set
+            assert failed == {"coverage.roster1", "coverage.roster2"}
+        elif kind == "truncate":
+            # a snapshot cut back no further than the one before, whose
+            # stage still meets its set, is a run the verifier accepts
+            assert "chain" in failed
+        else:
+            assert not any(r.ok for r in reports)
+            assert failed & {"chain", "footer.c1", "footer.c2"}

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import oracles
+from genco.cohenpair import parse_pair_transcript
+from genco.errors import MalformedTranscript
 from genco.serialize import (
-    BitsCodec,
     SeqCodec,
     decimal_digits,
     parse_bits,
@@ -47,10 +49,10 @@ def test_parse_bits_rejects(text):
 
 
 def test_bits_round_trip():
-    assert render_bits(()) == "-"
-    assert parse_bits("-") == ()
-    assert render_bits((1, 0, 1, 1)) == "1011"
-    for bits in [(0,), (1,), (1, 0, 1, 1), (0,) * 40 + (1,)]:
+    assert render_bits(b"") == "-"
+    assert parse_bits("-") == b""
+    assert render_bits(b"\x01\x00\x01\x01") == "1011"
+    for bits in [b"\x00", b"\x01", b"\x01\x00\x01\x01", bytes(40) + b"\x01"]:
         assert parse_bits(render_bits(bits)) == bits
 
 
@@ -76,13 +78,28 @@ def test_seq_codec_parses_like_parse_seq(text):
     "text", ["0101", "01011", "0101-", "01012", "0101 ", "010", "-", "", "0101٣", "1101"]
 )
 def test_bits_codec_parses_like_parse_bits(text):
-    codec = BitsCodec()
-    assert codec.parse("0101") == (0, 1, 0, 1)
-    assert _outcome(codec.parse, text) == _outcome(parse_bits, text)
+    # the bytes codec of bit strings against the tuple one it replaced,
+    # alone and as the snapshot after "0101" in a pair transcript
+    assert parse_bits("0101") == b"\x00\x01\x00\x01"
+    got = _outcome(parse_bits, text)
+    assert (tuple(got) if isinstance(got, bytes) else got) == _outcome(oracles.parse_bits, text)
+    lines = ["ROSTER1 a", "ROSTER2 b", "TARGET {}", "STAGES 2",
+             "STAGE 0 P 0101 Q 0101", f"STAGE 1 P {text} Q 0101", "C1 0101", "C2 0101"]
+    pair = "\n".join(lines) + "\n"
+    try:
+        got = oracles.pair_as_tuples(parse_pair_transcript(pair))
+    except MalformedTranscript as exc:
+        got = str(exc)
+    try:
+        want = oracles.parse_pair_transcript(pair)
+    except MalformedTranscript as exc:
+        want = str(exc)
+    assert got == want
 
 
 def test_codecs_render_like_full_renderers():
-    seqs, bits = SeqCodec(), BitsCodec()
+    seqs = SeqCodec()
     for xs in [(), (1, 2), (1, 2), (1, 2, 30), (1,), (4, 2, 30, 7, 7), (), (0,)]:
         assert seqs.render(xs) == render_seq(xs)
-        assert bits.render(tuple(x % 2 for x in xs)) == render_bits(tuple(x % 2 for x in xs))
+        bits = tuple(x % 2 for x in xs)
+        assert render_bits(bytes(bits)) == oracles.render_bits(bits)
