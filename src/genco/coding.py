@@ -165,6 +165,14 @@ class Primes(HelpSet):
         return {"kind": "primes"}
 
 
+def _check_prime_index(n: int, fuel: int) -> None:
+    """Element n of a self-coding set is a product over the primes of
+    index 0..n, so it reads the prime of index n: past the fuel, raise as
+    `primes.nth_prime` does, whatever the caches hold."""
+    if n >= fuel:
+        raise FuelExhausted(f"prime index {n} is past the fuel of {fuel}")
+
+
 class SelfCode(HelpSet):
     """The set of prefix codes of a fixed sequence abar: element n is
     prefix_code(abar restricted to n+1 entries).  Any infinite subset
@@ -181,18 +189,20 @@ class SelfCode(HelpSet):
     them.  Before it takes each prime power it adds the power's log10 to
     that of the code so far: an element past both the digit limit of
     str(int) and `fuel` digits raises FuelExhausted, and no such power is
-    taken.  The cache, like the prime table it reads, is single-threaded:
-    do not share one instance, or help sets backed by primes, between
-    threads."""
+    taken.  Element n reads the prime of index n, so `enumerate` and
+    `index_of` raise FuelExhausted for n >= `fuel`, as the primes help
+    set does, cached or not.  The cache, like the prime table it reads,
+    is single-threaded: do not share one instance, or help sets backed
+    by primes, between threads."""
 
     def __init__(self, abar: EventuallyPeriodicSeq):
         self.abar = abar
         # the code of every prefix of abar so far, from the empty one
         self._codes: list[int] = [1]
 
-    def _factor(self, k: int) -> tuple[int, int]:
+    def _factor(self, k: int, fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
         """The prime and exponent that code k adds to code k-1."""
-        return primes.nth_prime(k), self.abar.value(k) + 1
+        return primes.nth_prime(k, fuel), self.abar.value(k) + 1
 
     def _position(self, z: int) -> int | None:
         """The index of z among the codes, or None if z is none of them."""
@@ -211,6 +221,7 @@ class SelfCode(HelpSet):
         return self._position(z) is not None
 
     def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
+        _check_prime_index(n, fuel)
         codes = self._codes
         if n + 1 < len(codes):
             return codes[n + 1]
@@ -219,7 +230,7 @@ class SelfCode(HelpSet):
         code = codes[-1]
         log10_code = math.log10(code)
         for k in range(len(codes) - 1, n + 1):
-            p, e = self._factor(k)
+            p, e = self._factor(k, fuel)
             log10_code += e * math.log10(p)
             if log10_code > cap + 1:
                 raise FuelExhausted(
@@ -235,6 +246,7 @@ class SelfCode(HelpSet):
         n = self._position(z)
         if n is None:
             raise ValueError(f"{z} is not a member")
+        _check_prime_index(n, fuel)
         return n
 
     def config(self) -> dict:

@@ -274,14 +274,6 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor)
 
 
-def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
-    """Shortest prefix of u missing from T1 (assumes one exists)."""
-    for i in range(len(u) + 1):
-        if not _contains(T1, u[:i]):
-            return u[:i]
-    raise AssertionError("no bad prefix found")
-
-
 def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
     """A node of T whose last step, taken at or above the stem, is <= f
     at its level; None iff there is none, i.e. every step of T clears f.
@@ -289,7 +281,9 @@ def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
     At the stem level the stem is the only node, so each sub-floor step
     is tried there.  Every higher level has infinitely many nodes but
     finitely many atom keys, so the first floor gap above the stem shows
-    at the least-step node that carries no atom.
+    at the least-step node that carries no atom.  That node is built in
+    a list, reading atoms only at the levels that have keys, so it costs
+    time linear in its length plus the atoms.
     """
     s = T.stem
     gap = least_floor_gap(T.floor, f, len(s))
@@ -300,13 +294,23 @@ def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
         gap = least_floor_gap(T.floor, f, gap + 1)
     if gap is None:
         return None
-    v = s
-    while len(v) < gap - 1:
-        v = v + (T.least_step(v),)
+    keyed_levels = {len(k) for k, _ in T.exclusions}
+    path = list(s)
+    for level in range(len(s), gap - 1):
+        z = T.floor_at(level) + 1
+        if level in keyed_levels:
+            banned = T.exclusion_at(tuple(path))
+            while z in banned:
+                z += 1
+        path.append(z)
+    v = tuple(path)
     # the last step dodges the atom keys at level `gap`, so no atom masks
     # the sub-floor step after it
     keyed = [k[-1] for k, _ in T.exclusions if len(k) == gap and k[:-1] == v]
     return v + (T.least_step(v, keyed), T.floor_at(gap) + 1)
+
+
+_YES = ExtendsAnswer(Verdict.YES)
 
 
 def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
@@ -315,16 +319,22 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     Yes requires the stem of T2 to lie in T1, every exclusion atom of T1
     at or above that stem to be covered by T2's constraints, and no step
     of T2 at or above its stem to fall to or below T1's floor.  No
-    carries a witness node in T2 - T1.
+    carries a witness node in T2 - T1.  Every YES is one shared answer.
     """
     s2, s1 = T2.stem, T1.stem
-    if not comparable(s2, s1):
+    n1 = len(s1)
+    if s2[:n1] != s1:
+        if is_prefix(s2, s1):
+            z = T2.least_step(s2, skip=(s1[len(s2)],))
+            return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
         return ExtendsAnswer(Verdict.NO, witness=s2)
-    if len(s2) < len(s1):
-        z = T2.least_step(s2, skip=(s1[len(s2)],))
-        return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
-    if not _contains(T1, s2):
-        return ExtendsAnswer(Verdict.NO, witness=_first_bad_prefix(T1, s2))
+    # s2 extends s1, so only its new entries can leave T1; the first that
+    # does ends the shortest prefix of s2 missing from T1
+    f1 = T1.floor
+    for i in range(n1, len(s2)):
+        z = s2[i]
+        if z <= _floor_at(f1, i) or (T1.exclusions and z in T1.exclusion_at(s2[:i])):
+            return ExtendsAnswer(Verdict.NO, witness=s2[: i + 1])
     for key, steps in T1.exclusions:
         if not is_prefix(s2, key) or not _contains(T2, key):
             continue
@@ -333,11 +343,12 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         bad = next((z for z in steps if z > floor and z not in excl), None)
         if bad is not None:
             return ExtendsAnswer(Verdict.NO, witness=key + (bad,))
-    if T1.floor is not None:
-        witness = floor_gap_witness(T2, T1.floor)
+    # with equal floors every step of T2 clears T1's floor: no gap
+    if f1 is not None and T2.floor != f1:
+        witness = floor_gap_witness(T2, f1)
         if witness is not None:
             return ExtendsAnswer(Verdict.NO, witness=witness)
-    return ExtendsAnswer(Verdict.YES)
+    return _YES
 
 
 def stem_extends_avoiding(t2, t1, A) -> bool:
@@ -361,7 +372,7 @@ def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
         return ExtendsAnswer(Verdict.NO, witness=inc.witness, reason="inclusion")
     if not _stem_extends_avoiding(T2.stem, T1.stem, A):
         return ExtendsAnswer(Verdict.NO, reason="stem-avoidance")
-    return ExtendsAnswer(Verdict.YES)
+    return _YES
 
 
 def render_condition(T: HechlerCondition) -> str:

@@ -20,6 +20,7 @@ full as if it stood alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, eta
 from .conditions import (
@@ -38,8 +39,9 @@ MEET = "MEET"
 CODE = "CODE"
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
+    """One MEET or CODE line; a tuple, since a transcript holds one per line."""
+
     kind: str  # MEET or CODE
     index: int  # roster index for MEET, code counter for CODE
     condition: HechlerCondition
@@ -56,8 +58,11 @@ class RunTranscript:
     g_prefix: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One verifier check; a tuple, since a report holds several per
+    transcript line.  `detail` says why a failed check failed; it is
+    computed only on failure, so a passing check has detail ``""``."""
+
     check: str
     locus: str
     ok: bool
@@ -201,21 +206,27 @@ def verify_transcript(
     membership and stem avoidance at every MEET; coded value, membership
     and label at every CODE; footer; and the decoded prefix.  `fuel`
     bounds the prime indices of the help-set lookups.
+
+    Each line costs a few `CheckResult` tuples and the checks themselves:
+    a failure's detail is formatted only when the check fails, and every
+    passing check has detail ``""``.
     """
     checks: list[CheckResult] = []
+    append = checks.append
 
-    def add(check: str, locus: str, ok: bool, detail: str = ""):
-        checks.append(CheckResult(check, locus, ok, "" if ok else detail))
+    def add(check: str, locus: str, ok: bool, detail: str, *args):
+        # `detail` is a str.format template, filled in only on failure
+        append(CheckResult(check, locus, True) if ok else CheckResult(check, locus, False, detail.format(*args)))
 
     expected_hash = roster_hash(_roster_configs(roster))
     add("header.roster", "-", t.roster_hash == expected_hash,
-        f"hash {t.roster_hash} != roster {expected_hash}")
+        "hash {} != roster {}", t.roster_hash, expected_hash)
     help_cfg = A.config() if A is not None else None
     add("header.help", "-", t.help_config == help_cfg,
-        f"transcript help {t.help_config} != {help_cfg}")
+        "transcript help {} != {}", t.help_config, help_cfg)
     target_cfg = x.config() if x is not None else None
     add("header.target", "-", t.target_config == target_cfg,
-        f"transcript target {t.target_config} != {target_cfg}")
+        "transcript target {} != {}", t.target_config, target_cfg)
 
     # structure: per step, an optional MEET (when the roster is nonempty)
     # followed by a CODE when coding is on
@@ -227,40 +238,55 @@ def verify_transcript(
             expected.append((CODE, i))
     got = [(e.kind, e.index) for e in t.entries]
     add("structure", "-", got == expected,
-        f"entries {got[:6]}... do not match the declared step count/mode")
+        "entries {}... do not match the declared step count/mode", got[:6])
 
+    # the per-line checks append their records inline: a passing check
+    # costs one tuple and no call
+    YES = Verdict.YES
+    coding = A is not None and x is not None
     prev = FULL_TREE
     code_count = 0
-    for pos, e in enumerate(t.entries):
+    for pos, (kind, index, T, z_rec) in enumerate(t.entries):
         locus = f"entry {pos}"
-        ans = extends(e.condition, prev)
-        add("chain.extends", locus, bool(ans), f"witness {ans.witness}")
-        if e.kind == MEET:
-            if roster:
-                D = roster[e.index % len(roster)]
-                add("meet.member", locus, D.member(e.condition) is Verdict.YES,
-                    f"condition not a member of dense set {e.index}")
-            avoid = _stem_extends_avoiding(e.condition.stem, prev.stem, A)
-            add("meet.avoid", locus, avoid,
-                "new stem entries hit the help set")
+        ans = extends(T, prev)
+        if ans.verdict is YES:
+            append(CheckResult("chain.extends", locus, True))
         else:
-            stem, pstem = e.condition.stem, prev.stem
+            append(CheckResult("chain.extends", locus, False, f"witness {ans.witness}"))
+        if kind == MEET:
+            if roster:
+                if roster[index % len(roster)].member(T) is YES:
+                    append(CheckResult("meet.member", locus, True))
+                else:
+                    append(CheckResult("meet.member", locus, False,
+                                       f"condition not a member of dense set {index}"))
+            if _stem_extends_avoiding(T.stem, prev.stem, A):
+                append(CheckResult("meet.avoid", locus, True))
+            else:
+                append(CheckResult("meet.avoid", locus, False, "new stem entries hit the help set"))
+        else:
+            stem, pstem = T.stem, prev.stem
             grew = len(stem) == len(pstem) + 1 and stem[:-1] == pstem
-            add("code.step", locus, grew and e.z == (stem[-1] if grew else None),
-                f"stem did not grow by exactly the recorded value {e.z}")
-            if A is not None and x is not None and grew:
-                z = stem[-1]
-                ok = A.member(z) and eta(A, z, fuel) == x.value(e.index)
-                add("code.value", locus, ok,
-                    f"z={z} not a member with label {x.value(e.index)}")
+            if grew and z_rec == stem[-1]:
+                append(CheckResult("code.step", locus, True))
+            else:
+                append(CheckResult("code.step", locus, False,
+                                   f"stem did not grow by exactly the recorded value {z_rec}"))
+            if coding and grew:
+                z, want = stem[-1], x.value(index)
+                if A.member(z) and eta(A, z, fuel) == want:
+                    append(CheckResult("code.value", locus, True))
+                else:
+                    append(CheckResult("code.value", locus, False,
+                                       f"z={z} not a member with label {want}"))
             code_count += 1
-        prev = e.condition
+        prev = T
 
     add("footer.g", "-", t.g_prefix == prev.stem,
-        f"footer {t.g_prefix} != final stem {prev.stem}")
-    if A is not None and x is not None:
+        "footer {} != final stem {}", t.g_prefix, prev.stem)
+    if coding:
         decoded = decode(A, t.g_prefix, fuel)
         want = x.values(code_count)
         add("decode.prefix", "-", decoded[: len(want)] == want,
-            f"decoded {decoded[:len(want)]} != target {want}")
+            "decoded {} != target {}", decoded[: len(want)], want)
     return VerificationReport(tuple(checks))

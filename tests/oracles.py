@@ -16,6 +16,14 @@ holds the membership tests of the built-in cohen dense sets from then.
 The pair oracles read and return such tuples; `pair_as_tuples` converts
 a library `PairTranscript`, whose strings are bytes, for them.
 
+`extends` (with `floor_gap_witness` and `_first_bad_prefix`) and
+`verify_transcript` are the order check and the verifier from before
+per-line costs were cut: `extends` slices the stem prefix several times
+per call and builds its floor witness one tuple concatenation per level,
+and `verify_transcript` formats every check's detail, passing or not.
+The library must give the same verdicts, witnesses, check lists and
+report lines.
+
 `nth_prime`, `is_prime` and `prime_index` are the prime table before the
 sieve: it grows one trial division at a time, in a table of its own.
 `selfcode_digits` is `SelfCode`'s membership test before the code-cache
@@ -27,20 +35,35 @@ from __future__ import annotations
 
 import bisect
 
-from genco.coding import SelfCode, decode_prefix_code
+from genco.coding import SelfCode, decode, decode_prefix_code, eta
 from genco.cohenpair import PairStage, PairTranscript
-from genco.generic import CheckResult, VerificationReport
 from genco.conditions import (
+    FULL_TREE,
+    ExtendsAnswer,
+    FloorRule,
     HechlerCondition,
     Node,
+    Verdict,
     _contains,
     _floor_at,
+    _stem_extends_avoiding,
+    comparable,
     is_prefix,
+    least_floor_gap,
     parse_condition,
     render_condition,
 )
+from genco.densesets import DEFAULT_FUEL
 from genco.errors import MalformedCodeElement, MalformedTranscript
-from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
+from genco.generic import (
+    CODE,
+    MEET,
+    CheckResult,
+    RunTranscript,
+    TranscriptEntry,
+    VerificationReport,
+    _roster_configs,
+)
 from genco.serialize import canonical_json, parse_seq, render_seq, roster_hash
 
 
@@ -98,6 +121,152 @@ def extends_bounded(
     if len(s2) > depth or any(e > width for e in s2):
         return None
     return dfs(s2)
+
+
+def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
+    """Shortest prefix of u missing from T1 (assumes one exists)."""
+    for i in range(len(u) + 1):
+        if not _contains(T1, u[:i]):
+            return u[:i]
+    raise AssertionError("no bad prefix found")
+
+
+def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
+    """A node of T whose last step, taken at or above the stem, is <= f
+    at its level; None iff there is none, i.e. every step of T clears f.
+
+    At the stem level the stem is the only node, so each sub-floor step
+    is tried there.  Every higher level has infinitely many nodes but
+    finitely many atom keys, so the first floor gap above the stem shows
+    at the least-step node that carries no atom.
+    """
+    s = T.stem
+    gap = least_floor_gap(T.floor, f, len(s))
+    if gap == len(s):
+        for z in range(T.floor_at(gap) + 1, f.value(gap) + 1):
+            if T.admits_step(s, z):
+                return s + (z,)
+        gap = least_floor_gap(T.floor, f, gap + 1)
+    if gap is None:
+        return None
+    v = s
+    while len(v) < gap - 1:
+        v = v + (T.least_step(v),)
+    # the last step dodges the atom keys at level `gap`, so no atom masks
+    # the sub-floor step after it
+    keyed = [k[-1] for k, _ in T.exclusions if len(k) == gap and k[:-1] == v]
+    return v + (T.least_step(v, keyed), T.floor_at(gap) + 1)
+
+
+def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
+    """Decide T2 <= T1 (inclusion of the described trees) exactly.
+
+    Yes requires the stem of T2 to lie in T1, every exclusion atom of T1
+    at or above that stem to be covered by T2's constraints, and no step
+    of T2 at or above its stem to fall to or below T1's floor.  No
+    carries a witness node in T2 - T1.
+    """
+    s2, s1 = T2.stem, T1.stem
+    if not comparable(s2, s1):
+        return ExtendsAnswer(Verdict.NO, witness=s2)
+    if len(s2) < len(s1):
+        z = T2.least_step(s2, skip=(s1[len(s2)],))
+        return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
+    if not _contains(T1, s2):
+        return ExtendsAnswer(Verdict.NO, witness=_first_bad_prefix(T1, s2))
+    for key, steps in T1.exclusions:
+        if not is_prefix(s2, key) or not _contains(T2, key):
+            continue
+        # the least step T1 excludes at key that T2 admits there
+        floor, excl = T2.floor_at(len(key)), T2.exclusion_at(key)
+        bad = next((z for z in steps if z > floor and z not in excl), None)
+        if bad is not None:
+            return ExtendsAnswer(Verdict.NO, witness=key + (bad,))
+    if T1.floor is not None:
+        witness = floor_gap_witness(T2, T1.floor)
+        if witness is not None:
+            return ExtendsAnswer(Verdict.NO, witness=witness)
+    return ExtendsAnswer(Verdict.YES)
+
+
+def verify_transcript(
+    roster: list[DenseSet],
+    A: HelpSet | None,
+    x: EventuallyPeriodicSeq | None,
+    t: RunTranscript,
+    fuel: int = DEFAULT_FUEL,
+) -> VerificationReport:
+    """Re-check a transcript against the given roster, help set, and
+    target without re-running the builder.
+
+    Checks: header consistency; step structure; the descending chain
+    (exact inclusion, each failure with a witness node); dense-set
+    membership and stem avoidance at every MEET; coded value, membership
+    and label at every CODE; footer; and the decoded prefix.  `fuel`
+    bounds the prime indices of the help-set lookups.
+    """
+    checks: list[CheckResult] = []
+
+    def add(check: str, locus: str, ok: bool, detail: str = ""):
+        checks.append(CheckResult(check, locus, ok, "" if ok else detail))
+
+    expected_hash = roster_hash(_roster_configs(roster))
+    add("header.roster", "-", t.roster_hash == expected_hash,
+        f"hash {t.roster_hash} != roster {expected_hash}")
+    help_cfg = A.config() if A is not None else None
+    add("header.help", "-", t.help_config == help_cfg,
+        f"transcript help {t.help_config} != {help_cfg}")
+    target_cfg = x.config() if x is not None else None
+    add("header.target", "-", t.target_config == target_cfg,
+        f"transcript target {t.target_config} != {target_cfg}")
+
+    # structure: per step, an optional MEET (when the roster is nonempty)
+    # followed by a CODE when coding is on
+    expected: list[tuple[str, int]] = []
+    for i in range(t.steps):
+        if roster:
+            expected.append((MEET, i % len(roster)))
+        if A is not None:
+            expected.append((CODE, i))
+    got = [(e.kind, e.index) for e in t.entries]
+    add("structure", "-", got == expected,
+        f"entries {got[:6]}... do not match the declared step count/mode")
+
+    prev = FULL_TREE
+    code_count = 0
+    for pos, e in enumerate(t.entries):
+        locus = f"entry {pos}"
+        ans = extends(e.condition, prev)
+        add("chain.extends", locus, bool(ans), f"witness {ans.witness}")
+        if e.kind == MEET:
+            if roster:
+                D = roster[e.index % len(roster)]
+                add("meet.member", locus, D.member(e.condition) is Verdict.YES,
+                    f"condition not a member of dense set {e.index}")
+            avoid = _stem_extends_avoiding(e.condition.stem, prev.stem, A)
+            add("meet.avoid", locus, avoid,
+                "new stem entries hit the help set")
+        else:
+            stem, pstem = e.condition.stem, prev.stem
+            grew = len(stem) == len(pstem) + 1 and stem[:-1] == pstem
+            add("code.step", locus, grew and e.z == (stem[-1] if grew else None),
+                f"stem did not grow by exactly the recorded value {e.z}")
+            if A is not None and x is not None and grew:
+                z = stem[-1]
+                ok = A.member(z) and eta(A, z, fuel) == x.value(e.index)
+                add("code.value", locus, ok,
+                    f"z={z} not a member with label {x.value(e.index)}")
+            code_count += 1
+        prev = e.condition
+
+    add("footer.g", "-", t.g_prefix == prev.stem,
+        f"footer {t.g_prefix} != final stem {prev.stem}")
+    if A is not None and x is not None:
+        decoded = decode(A, t.g_prefix, fuel)
+        want = x.values(code_count)
+        add("decode.prefix", "-", decoded[: len(want)] == want,
+            f"decoded {decoded[:len(want)]} != target {want}")
+    return VerificationReport(tuple(checks))
 
 
 def write_transcript(t: RunTranscript) -> str:

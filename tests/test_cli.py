@@ -357,8 +357,8 @@ def run_genco(argv: list[str], fuel: str | None = None) -> tuple[int, str, str, 
 
 
 class TestTooLarge:
-    """Numbers too large for the fuel or for str(int) end with exit 3
-    within 2 s, with no traceback."""
+    """Numbers too large for the fuel or for str(int) end within 2 s, with
+    no traceback: exit 3 for an honest run, exit 1 for a forgery."""
 
     def _build(self, tmp_path, help_cfg: dict, label: int):
         cfg = dict(HECHLER_CFG, help=help_cfg, target={"prefix": [], "cycle": [label]}, steps=1)
@@ -377,6 +377,59 @@ class TestTooLarge:
         code, out, err, seconds = self._build(tmp_path, help_cfg, 10)
         assert code == EXIT_FUEL and out == "" and "Traceback" not in err
         assert "6974 digits" in err and "(step 0)" in err
+        assert seconds < 2
+
+    @pytest.mark.parametrize("kind", ["primes", "selfcode"])
+    def test_label_6_takes_the_fuel(self, tmp_path, kind):
+        # the least label-6 member is element 63, which reads the prime of
+        # index 63
+        help_cfg = {"kind": kind}
+        if kind == "selfcode":
+            help_cfg["abar"] = {"prefix": [], "cycle": [0]}
+        cfg = dict(HECHLER_CFG, help=help_cfg, target={"prefix": [], "cycle": [6]}, steps=1)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        args = ["build", "--config", str(cf), "--out", str(tmp_path / "t")]
+        code, out, err, seconds = run_genco(args, fuel="3")
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        assert err == "fuel exhausted: prime index 63 is past the fuel of 3 (step 0)\n"
+        assert seconds < 2
+        assert run_genco(args, fuel="64")[0] == EXIT_OK
+
+    def test_deep_floor_forgery(self, tmp_path):
+        # every floor of the honest one-step run of [dominate a=1 b=0]
+        # raised to the constant 40000: the dense-set check builds a
+        # witness node 40002 entries long
+        cfg = dict(
+            HECHLER_CFG,
+            target={"prefix": [], "cycle": [0]},
+            dense=[{"type": "dominate", "table": [], "a": 1, "b": 0}],
+            steps=1,
+        )
+        cf, tf = tmp_path / "c.json", tmp_path / "t"
+        cf.write_text(json.dumps(cfg))
+        assert run_genco(["build", "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
+        text = tf.read_text()
+        forged = text.replace("floor(table=[],a=1,b=0)", "floor(table=[],a=0,b=40000)")
+        assert forged.count("b=40000") == 2
+        tf.write_text(forged)
+        code, out, err, seconds = run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "ok header.roster @-",
+            "ok header.help @-",
+            "ok header.target @-",
+            "ok structure @-",
+            "ok chain.extends @entry 0",
+            "FAIL meet.member @entry 0 condition not a member of dense set 0",
+            "ok meet.avoid @entry 0",
+            "FAIL chain.extends @entry 1 witness (4,)",
+            "ok code.step @entry 1",
+            "ok code.value @entry 1",
+            "ok footer.g @-",
+            "ok decode.prefix @-",
+            "FAIL",
+        ]
         assert seconds < 2
 
     @pytest.mark.parametrize("entry", [10**7, 10**8])
