@@ -10,11 +10,10 @@ lookups.  The config schema lives with each family's
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cohenpair, generic
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, help_set_from_config
@@ -46,8 +45,7 @@ def _load_json(text: str, path: str):
         raise ConfigError(path, f"{exc.msg} (line {exc.lineno} column {exc.colno})")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A checked run: its poset, its step (or stage) count and the
     objects built from its config."""
 
@@ -205,6 +203,7 @@ def _cmd_rank(args, out) -> int:
 
 
 def main(argv=None, out=None, err=None) -> int:
+    import argparse  # here, so that `import genco.cli` does not load it
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = argparse.ArgumentParser(prog="genco", add_help=True)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import primes
 from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, MalformedCodeElement
+from .frozen import Frozen
 from .serialize import build_at, check_keys, nat_list, printable, str_digit_limit
 
 
@@ -39,22 +39,19 @@ def theta_fiber(m: int, k: int) -> int:
     return (2 * k + 1) * (1 << m) - 1
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSeq:
+class EventuallyPeriodicSeq(Frozen):
     """Total sequence of naturals: finite prefix, then a repeating cycle."""
 
-    prefix: tuple[int, ...] = ()
-    cycle: tuple[int, ...] = (0,)
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        prefix = tuple(int(x) for x in self.prefix)
-        cycle = tuple(int(x) for x in self.cycle)
+    def __init__(self, prefix: tuple[int, ...] = (), cycle: tuple[int, ...] = (0,)):
+        prefix = tuple(int(x) for x in prefix)
+        cycle = tuple(int(x) for x in cycle)
         if not cycle:
             raise ValueError("cycle must be nonempty")
         if any(x < 0 for x in prefix + cycle):
             raise ValueError("sequence entries must be naturals")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
+        self._set(prefix, cycle)
 
     def value(self, n: int) -> int:
         if n < len(self.prefix):

@@ -23,7 +23,7 @@ a few C-level passes over the string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq
 from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
@@ -145,15 +145,13 @@ def cohen_from_config(cfg, path: str = "dense") -> CohenDense:
     raise ConfigError(f"{path}.type", f"unknown cohen dense type {t!r}")
 
 
-@dataclass(frozen=True)
-class PairStage:
+class PairStage(NamedTuple):
     index: int
     p: Bits  # end-of-stage snapshots
     q: Bits
 
 
-@dataclass(frozen=True)
-class PairTranscript:
+class PairTranscript(NamedTuple):
     roster1_hash: str
     roster2_hash: str
     target_config: dict

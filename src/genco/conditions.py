@@ -23,8 +23,10 @@ constructor, `contains`, `restrict`, `stem_extends_avoiding` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 Node = tuple[int, ...]
 
@@ -49,8 +51,7 @@ class Verdict(Enum):
     NO = "no"
 
 
-@dataclass(frozen=True)
-class ExtendsAnswer:
+class ExtendsAnswer(NamedTuple):
     verdict: Verdict
     witness: Node | None = None
     reason: str | None = None
@@ -59,25 +60,20 @@ class ExtendsAnswer:
         return self.verdict is Verdict.YES
 
 
-@dataclass(frozen=True)
-class FloorRule:
+class FloorRule(Frozen):
     """Level-wise lower bound: f(n) = table[n] for n < len(table), else
     slope*n + intercept.  Stored canonically: trailing table entries that
     agree with the affine tail are trimmed."""
 
-    table: tuple[int, ...] = ()
-    slope: int = 0
-    intercept: int = 0
+    __slots__ = ("table", "slope", "intercept")
 
-    def __post_init__(self):
-        table = tuple(int(x) for x in self.table)
-        if any(x < 0 for x in table) or self.slope < 0 or self.intercept < 0:
+    def __init__(self, table: tuple[int, ...] = (), slope: int = 0, intercept: int = 0):
+        table = tuple(int(x) for x in table)
+        if any(x < 0 for x in table) or slope < 0 or intercept < 0:
             raise ValueError("floor rule parameters must be naturals")
-        while table and table[-1] == self.slope * (len(table) - 1) + self.intercept:
+        while table and table[-1] == slope * (len(table) - 1) + intercept:
             table = table[:-1]
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "slope", int(self.slope))
-        object.__setattr__(self, "intercept", int(self.intercept))
+        self._set(table, int(slope), int(intercept))
 
     def value(self, n: int) -> int:
         if n < len(self.table):
@@ -125,8 +121,7 @@ def least_floor_gap(f2: FloorRule | None, f1: FloorRule, from_level: int) -> int
     return max(stop, first)
 
 
-@dataclass(frozen=True)
-class HechlerCondition:
+class HechlerCondition(Frozen):
     """Stem + exclusion atoms + optional floor rule.
 
     A node u belongs to the described tree iff u is comparable with the
@@ -136,14 +131,12 @@ class HechlerCondition:
     stored as a sorted tuple of (node, ascending steps) pairs.
     """
 
-    stem: Node = ()
-    exclusions: tuple[tuple[Node, tuple[int, ...]], ...] = ()
-    floor: FloorRule | None = None
+    __slots__ = ("stem", "exclusions", "floor")
 
-    def __post_init__(self):
-        stem = as_node(self.stem)
+    def __init__(self, stem: Node = (), exclusions=(), floor: FloorRule | None = None):
+        stem = as_node(stem)
         merged: dict[Node, set[int]] = {}
-        items = self.exclusions.items() if isinstance(self.exclusions, dict) else self.exclusions
+        items = exclusions.items() if isinstance(exclusions, dict) else exclusions
         for key, steps in items:
             key = as_node(key)
             if not is_prefix(stem, key):
@@ -153,8 +146,7 @@ class HechlerCondition:
         for _, steps in canon:
             if steps[0] < 0:
                 raise ValueError("excluded steps must be naturals")
-        object.__setattr__(self, "stem", stem)
-        object.__setattr__(self, "exclusions", canon)
+        self._set(stem, canon, floor)
 
     @classmethod
     def _trusted(cls, stem: Node, exclusions, floor: FloorRule | None) -> "HechlerCondition":

@@ -22,7 +22,6 @@ user oracles into errors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .conditions import (
     FloorRule,
@@ -36,6 +35,7 @@ from .conditions import (
     meet,
 )
 from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, WitnessStemMismatch
+from .frozen import Frozen
 from .serialize import (
     build_at,
     check_keys,
@@ -131,27 +131,28 @@ def _hit_count(count: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class StemPattern:
+class StemPattern(Frozen):
     """Conjunction of stem requirements: a length bound and counted
-    entry thresholds.  All requirements shrink monotonically under stem
-    extension, so the induced family is open."""
+    entry thresholds, as `hits` of (threshold k, required count).  All
+    requirements shrink monotonically under stem extension, so the
+    induced family is open."""
 
-    min_len: int = 0
-    hits: tuple[tuple[int, int], ...] = ()  # (threshold k, required count)
+    __slots__ = ("min_len", "hits")
 
-    def __post_init__(self):
-        if self.min_len < 0 or any(k < 0 for k, _ in self.hits):
+    def __init__(self, min_len: int = 0, hits: tuple[tuple[int, int], ...] = ()):
+        if min_len < 0 or any(k < 0 for k, _ in hits):
             raise ValueError("length bound and thresholds must be naturals")
-        for _, count in self.hits:
+        for _, count in hits:
             _hit_count(count)
-        if self.min_len == 0 and not self.hits:
+        if min_len == 0 and not hits:
             raise ValueError("pattern matches every stem")
+        self._set(min_len, hits)
 
     def deficits(self, s: Node) -> tuple[int, ...]:
+        # hits are counted in C and only up to `need`: past it the deficit stays 0
         length = max(0, self.min_len - len(s))
         counted = tuple(
-            max(0, need - sum(1 for e in s if e >= k)) for k, need in self.hits
+            need - len(tuple(itertools.islice(filter(k.__le__, s), need))) for k, need in self.hits
         )
         return (length,) + counted
 

@@ -19,7 +19,6 @@ full as if it stood alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, eta
@@ -48,8 +47,7 @@ class TranscriptEntry(NamedTuple):
     z: int | None = None  # the coded stem entry (CODE only)
 
 
-@dataclass(frozen=True)
-class RunTranscript:
+class RunTranscript(NamedTuple):
     roster_hash: str
     help_config: dict | None
     target_config: dict | None
@@ -69,8 +67,7 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -29,6 +29,10 @@ sieve: it grows one trial division at a time, in a table of its own.
 `selfcode_digits` is `SelfCode`'s membership test before the code-cache
 lookup: it factors z with `decode_prefix_code`.  The library must give
 the same answers.
+
+`stem_deficits` is `StemPattern.deficits` before its hit counts were
+capped: it counts every entry of the stem that clears each threshold.
+The library must give the same deficit tuples.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from genco.conditions import (
     parse_condition,
     render_condition,
 )
-from genco.densesets import DEFAULT_FUEL
+from genco.densesets import DEFAULT_FUEL, StemPattern
 from genco.errors import MalformedCodeElement, MalformedTranscript
 from genco.generic import (
     CODE,
@@ -548,3 +552,12 @@ def selfcode_digits(A: SelfCode, z: int) -> tuple[int, ...] | None:
     except MalformedCodeElement:
         return None
     return digits if digits == A.abar.values(len(digits)) else None
+
+
+def stem_deficits(pattern: StemPattern, s: Node) -> tuple[int, ...]:
+    """`pattern.deficits(s)`, with every hit of every threshold counted."""
+    length = max(0, pattern.min_len - len(s))
+    counted = tuple(
+        max(0, need - sum(1 for e in s if e >= k)) for k, need in pattern.hits
+    )
+    return (length,) + counted

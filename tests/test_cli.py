@@ -482,6 +482,24 @@ class TestTooLarge:
         assert run_genco(["decode", "--help-config", str(hf), "--g", "[7]"], fuel="3")[0] == EXIT_FUEL
 
 
+class TestStartUp:
+    """`import genco` runs no code generation and leaves argparse to
+    `main`; the command line behaves as before."""
+
+    def test_import_loads_no_dataclasses_inspect_or_argparse(self):
+        # -S: no site hooks, so only what genco itself imports is loaded
+        code = "import sys, genco, genco.cli; print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (p.returncode, p.stdout, p.stderr) == (0, "[]\n", "")
+
+    def test_help_and_missing_command(self):
+        code, out, err, _ = run_genco(["--help"])
+        assert code == EXIT_OK and out.startswith("usage: genco") and err == ""
+        code, out, err, _ = run_genco([])
+        assert code == EXIT_CONFIG and out == "" and err.startswith("usage: genco")
+
+
 class TestCorpus:
     def test_corpus_is_broad(self):
         paths = corpus_paths()

@@ -6,6 +6,8 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from genco import (
     FULL_TREE,
@@ -30,6 +32,7 @@ from genco import (
 )
 from genco.densesets import StemBasedDenseSet
 from conftest import random_condition, random_dense, random_help
+import oracles
 
 EVENS = Evens()
 
@@ -257,6 +260,21 @@ class TestMember:
             assert R.stem == T.stem
             assert D.member(R) is Verdict.YES
             assert extends(R, T).verdict is Verdict.YES
+
+
+class TestStemPattern:
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=3),
+        st.lists(st.integers(0, 8), max_size=24),
+    )
+    def test_capped_deficits_equal_the_full_count(self, min_len, hits, stem):
+        assume(min_len or hits)
+        p, s = StemPattern(min_len, tuple(hits)), tuple(stem)
+        assert p.deficits(s) == oracles.stem_deficits(p, s)
+        D = UserStemsSet([p, StemPattern(1, ((3, 2),))])
+        assert D.node_class(s) == tuple(oracles.stem_deficits(q, s) for q in D.patterns)
 
 
 class TestConfigs:
