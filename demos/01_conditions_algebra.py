@@ -40,10 +40,10 @@ print("   floor values at levels 0..5:", [M.floor.value(n) for n in range(6)])
 
 print()
 print("inclusion is decided exactly: yes, or no with a witness node:")
-print("   extends(R, T):", extends(R, T).verdict.value)
+print("   extends(R, T):", "yes" if extends(R, T) else "no")
 bad = extends(FULL_TREE, HechlerCondition(exclusions={(): {4}}))
-print("   full tree vs atom at root:", bad.verdict.value, "witness", bad.witness)
+print("   full tree vs atom at root:", "yes" if bad else "no", "witness", bad.witness)
 # a lower floor at the stem, with every step it lets through excluded by atoms
 masked = HechlerCondition(exclusions={(): {1, 2, 3, 4, 5}}, floor=FloorRule((0,), 0, 0))
-print("   atoms masking a lower floor at the stem:",
-      extends(masked, HechlerCondition(floor=FloorRule((5,), 0, 0))).verdict.value)
+masked_ans = extends(masked, HechlerCondition(floor=FloorRule((5,), 0, 0)))
+print("   atoms masking a lower floor at the stem:", "yes" if masked_ans else "no")

@@ -52,7 +52,6 @@ from .conditions import (
     ExtendsAnswer,
     FloorRule,
     HechlerCondition,
-    Verdict,
     contains,
     excluded_successors,
     extends,
@@ -61,7 +60,6 @@ from .conditions import (
     parse_condition,
     render_condition,
     restrict,
-    stem_extends_avoiding,
 )
 from .densesets import (
     DEFAULT_FUEL,

@@ -125,10 +125,6 @@ class HelpSet:
     def config(self) -> dict:
         raise NotImplementedError
 
-    def elements(self):
-        for n in itertools.count():
-            yield self.enumerate(n)
-
 
 class Evens(HelpSet):
     def member(self, z: int) -> bool:

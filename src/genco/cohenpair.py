@@ -308,22 +308,14 @@ def verify_pair(
         locus = f"stage {s.index}"
         chain = s.p.startswith(prev_p) and s.q.startswith(prev_q) and len(s.p) == len(s.q)
         add("chain", locus, chain, "snapshots not extensions of equal length")
-        if roster1:
-            D = roster1[s.index % len(roster1)]
-            hit = any(
-                D.member(s.p[:n]) for n in range(len(prev_p), len(s.p) + 1)
-            )
-            add("meet1", locus, hit, "no prefix of this stage lies in the dense set")
-            if hit:
-                met1[s.index % len(roster1)] = True
-        if roster2:
-            D = roster2[s.index % len(roster2)]
-            hit = any(
-                D.member(s.q[:n]) for n in range(len(prev_q), len(s.q) + 1)
-            )
-            add("meet2", locus, hit, "no prefix of this stage lies in the dense set")
-            if hit:
-                met2[s.index % len(roster2)] = True
+        sides = (("meet1", roster1, met1, prev_p, s.p), ("meet2", roster2, met2, prev_q, s.q))
+        for check, roster, met, prev, cur in sides:
+            if roster:
+                D = roster[s.index % len(roster)]
+                hit = any(D.member(cur[:n]) for n in range(len(prev), len(cur) + 1))
+                add(check, locus, hit, "no prefix of this stage lies in the dense set")
+                if hit:
+                    met[s.index % len(roster)] = True
         prev_p, prev_q = s.p, s.q
 
     add("footer.c1", "-", t.c1 == prev_p, "C1 differs from the last snapshot")

@@ -15,18 +15,18 @@ All values are immutable and every operation is a pure function.
 
 Conditions are validated when constructed publicly or parsed; internal
 operations trust them.  The boundary is the `HechlerCondition(...)`
-constructor, `contains`, `restrict`, `stem_extends_avoiding` and
-`parse_condition`; everything built from a valid condition goes through
-`HechlerCondition._trusted` and the private `_contains`, `_restrict` and
-`_stem_extends_avoiding`, which never re-check a whole stem.
+constructor, `contains`, `restrict` and `parse_condition`; everything
+built from a valid condition goes through `HechlerCondition._trusted`
+and the private `_contains`, `_restrict` and `_stem_avoids`, which
+never re-check a whole stem.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .frozen import Frozen
+from .serialize import SeqCodec, parse_seq, render_seq
 
 Node = tuple[int, ...]
 
@@ -46,18 +46,14 @@ def comparable(a: Node, b: Node) -> bool:
     return is_prefix(a, b) or is_prefix(b, a)
 
 
-class Verdict(Enum):
-    YES = "yes"
-    NO = "no"
-
-
 class ExtendsAnswer(NamedTuple):
-    verdict: Verdict
+    """YES when empty; a NO carries a witness node, a reason, or both."""
+
     witness: Node | None = None
     reason: str | None = None
 
     def __bool__(self) -> bool:
-        return self.verdict is Verdict.YES
+        return self.witness is None and self.reason is None
 
 
 class FloorRule(Frozen):
@@ -83,6 +79,8 @@ class FloorRule(Frozen):
 
 def floor_max(f: FloorRule, g: FloorRule) -> FloorRule:
     """Pointwise maximum of two floor rules, again table + affine."""
+    if f == g:
+        return f
     base = max(len(f.table), len(g.table))
     if f.slope == g.slope:
         cut = base
@@ -302,7 +300,7 @@ def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
     return v + (T.least_step(v, keyed), T.floor_at(gap) + 1)
 
 
-_YES = ExtendsAnswer(Verdict.YES)
+_YES = ExtendsAnswer()
 
 
 def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
@@ -318,15 +316,15 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     if s2[:n1] != s1:
         if is_prefix(s2, s1):
             z = T2.least_step(s2, skip=(s1[len(s2)],))
-            return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
-        return ExtendsAnswer(Verdict.NO, witness=s2)
+            return ExtendsAnswer(witness=s2 + (z,))
+        return ExtendsAnswer(witness=s2)
     # s2 extends s1, so only its new entries can leave T1; the first that
     # does ends the shortest prefix of s2 missing from T1
     f1 = T1.floor
     for i in range(n1, len(s2)):
         z = s2[i]
         if z <= _floor_at(f1, i) or (T1.exclusions and z in T1.exclusion_at(s2[:i])):
-            return ExtendsAnswer(Verdict.NO, witness=s2[: i + 1])
+            return ExtendsAnswer(witness=s2[: i + 1])
     for key, steps in T1.exclusions:
         if not is_prefix(s2, key) or not _contains(T2, key):
             continue
@@ -334,22 +332,18 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         floor, excl = T2.floor_at(len(key)), T2.exclusion_at(key)
         bad = next((z for z in steps if z > floor and z not in excl), None)
         if bad is not None:
-            return ExtendsAnswer(Verdict.NO, witness=key + (bad,))
+            return ExtendsAnswer(witness=key + (bad,))
     # with equal floors every step of T2 clears T1's floor: no gap
     if f1 is not None and T2.floor != f1:
         witness = floor_gap_witness(T2, f1)
         if witness is not None:
-            return ExtendsAnswer(Verdict.NO, witness=witness)
+            return ExtendsAnswer(witness=witness)
     return _YES
 
 
-def stem_extends_avoiding(t2, t1, A) -> bool:
+def _stem_avoids(t2: Node, t1: Node, A) -> bool:
     """t2 extends t1 and every new entry stays outside the help set A
     (A may be None, making the avoidance clause vacuous)."""
-    return _stem_extends_avoiding(as_node(t2), as_node(t1), A)
-
-
-def _stem_extends_avoiding(t2: Node, t1: Node, A) -> bool:
     if not is_prefix(t1, t2):
         return False
     if A is None:
@@ -361,9 +355,9 @@ def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
     """Conjunction of extends(T2, T1) and stem avoidance of A."""
     inc = extends(T2, T1)
     if not inc:
-        return ExtendsAnswer(Verdict.NO, witness=inc.witness, reason="inclusion")
-    if not _stem_extends_avoiding(T2.stem, T1.stem, A):
-        return ExtendsAnswer(Verdict.NO, reason="stem-avoidance")
+        return ExtendsAnswer(witness=inc.witness, reason="inclusion")
+    if not _stem_avoids(T2.stem, T1.stem, A):
+        return ExtendsAnswer(reason="stem-avoidance")
     return _YES
 
 
@@ -373,14 +367,10 @@ def render_condition(T: HechlerCondition) -> str:
     ``stem=[a,b];excl{[k]:{z1,z2};...};floor(table=[...],a=A,b=B)`` with
     keys in lexicographic order, steps ascending, ``floor(-)`` if absent.
     """
-    from .serialize import render_seq
-
     return f"stem={render_seq(T.stem)};{_render_exclusions(T)};{_render_floor(T.floor)}"
 
 
 def _render_exclusions(T: HechlerCondition) -> str:
-    from .serialize import render_seq
-
     excl = ";".join(
         f"{render_seq(key)}:{{{','.join(map(str, steps))}}}"
         for key, steps in T.exclusions
@@ -389,16 +379,12 @@ def _render_exclusions(T: HechlerCondition) -> str:
 
 
 def _render_floor(floor: FloorRule | None) -> str:
-    from .serialize import render_seq
-
     if floor is None:
         return "floor(-)"
     return f"floor(table={render_seq(floor.table)},a={floor.slope},b={floor.intercept})"
 
 
 def parse_condition(text: str) -> HechlerCondition:
-    from .serialize import parse_seq
-
     try:
         stem_part, rest = text.split(";excl{", 1)
         excl_part, floor_part = rest.rsplit("};floor(", 1)
@@ -438,8 +424,6 @@ class ConditionCodec:
     _PLAIN = ";excl{};floor("
 
     def __init__(self):
-        from .serialize import SeqCodec
-
         self._stems = SeqCodec()
         self._floor_texts: dict[FloorRule | None, str] = {}
         self._floors: dict[str, FloorRule | None] = {}
@@ -467,8 +451,6 @@ class ConditionCodec:
 
 def _parse_floor(body: str) -> FloorRule | None:
     """The floor rule of the text between ``floor(`` and ``)``."""
-    from .serialize import parse_seq
-
     if body == "-":
         return None
     table_text, tail = body.split(",a=", 1)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 
+from .coding import eta_fiber_element
 from .conditions import (
     FloorRule,
     HechlerCondition,
     Node,
-    Verdict,
     _restrict,
     as_node,
     floor_gap_witness,
@@ -51,7 +51,7 @@ from .serialize import (
 class DenseSet:
     """Runtime interface shared by all dense-set presentations."""
 
-    def member(self, T: HechlerCondition) -> Verdict:
+    def member(self, T: HechlerCondition) -> bool:
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -94,8 +94,8 @@ class StemLengthSet(StemBasedDenseSet):
     def node_class(self, s: Node):
         return min(len(s), self.n)
 
-    def member(self, T: HechlerCondition) -> Verdict:
-        return Verdict.YES if len(T.stem) >= self.n else Verdict.NO
+    def member(self, T: HechlerCondition) -> bool:
+        return len(T.stem) >= self.n
 
     def config(self) -> dict:
         return {"type": "stem_length", "n": self.n}
@@ -118,8 +118,8 @@ class StemHitsSet(StemBasedDenseSet):
     def node_class(self, s: Node):
         return any(e >= self.k for e in s)
 
-    def member(self, T: HechlerCondition) -> Verdict:
-        return Verdict.YES if any(e >= self.k for e in T.stem) else Verdict.NO
+    def member(self, T: HechlerCondition) -> bool:
+        return any(e >= self.k for e in T.stem)
 
     def config(self) -> dict:
         return {"type": "stem_hits", "k": self.k}
@@ -197,10 +197,8 @@ class UserStemsSet(StemBasedDenseSet):
     def node_class(self, s: Node):
         return tuple(p.deficits(s) for p in self.patterns)
 
-    def member(self, T: HechlerCondition) -> Verdict:
-        if any(p.distance(T.stem) == 0 for p in self.patterns):
-            return Verdict.YES
-        return Verdict.NO
+    def member(self, T: HechlerCondition) -> bool:
+        return any(p.distance(T.stem) == 0 for p in self.patterns)
 
     def config(self) -> dict:
         return {"type": "user_stems", "patterns": [p.config() for p in self.patterns]}
@@ -217,8 +215,8 @@ class DominateSet(PruningDenseSet):
         merged = self.floor if T.floor is None else floor_max(T.floor, self.floor)
         return HechlerCondition._trusted(T.stem, T.exclusions, merged)
 
-    def member(self, T: HechlerCondition) -> Verdict:
-        return Verdict.YES if floor_gap_witness(T, self.floor) is None else Verdict.NO
+    def member(self, T: HechlerCondition) -> bool:
+        return floor_gap_witness(T, self.floor) is None
 
     def config(self) -> dict:
         return {
@@ -370,8 +368,6 @@ def code_step(T: HechlerCondition, A, m: int, fuel: int = DEFAULT_FUEL) -> Hechl
     legal one), deliberately breaking stem avoidance to record m.  A
     member too long for str(int), which no transcript could hold, raises
     FuelExhausted."""
-    from .coding import eta_fiber_element
-
     for k in range(fuel):
         z = eta_fiber_element(A, m, k, fuel)
         if not printable(z):

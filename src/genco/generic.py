@@ -26,8 +26,7 @@ from .conditions import (
     FULL_TREE,
     ConditionCodec,
     HechlerCondition,
-    Verdict,
-    _stem_extends_avoiding,
+    _stem_avoids,
     extends,
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
@@ -239,25 +238,25 @@ def verify_transcript(
 
     # the per-line checks append their records inline: a passing check
     # costs one tuple and no call
-    YES = Verdict.YES
     coding = A is not None and x is not None
     prev = FULL_TREE
     code_count = 0
     for pos, (kind, index, T, z_rec) in enumerate(t.entries):
         locus = f"entry {pos}"
         ans = extends(T, prev)
-        if ans.verdict is YES:
+        if ans:
             append(CheckResult("chain.extends", locus, True))
         else:
             append(CheckResult("chain.extends", locus, False, f"witness {ans.witness}"))
         if kind == MEET:
             if roster:
-                if roster[index % len(roster)].member(T) is YES:
+                # only True itself passes: a truthy non-bool from a user set fails
+                if roster[index % len(roster)].member(T) is True:
                     append(CheckResult("meet.member", locus, True))
                 else:
                     append(CheckResult("meet.member", locus, False,
                                        f"condition not a member of dense set {index}"))
-            if _stem_extends_avoiding(T.stem, prev.stem, A):
+            if _stem_avoids(T.stem, prev.stem, A):
                 append(CheckResult("meet.avoid", locus, True))
             else:
                 append(CheckResult("meet.avoid", locus, False, "new stem entries hit the help set"))

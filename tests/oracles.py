@@ -47,10 +47,9 @@ from genco.conditions import (
     FloorRule,
     HechlerCondition,
     Node,
-    Verdict,
     _contains,
     _floor_at,
-    _stem_extends_avoiding,
+    _stem_avoids,
     comparable,
     is_prefix,
     least_floor_gap,
@@ -172,12 +171,12 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     """
     s2, s1 = T2.stem, T1.stem
     if not comparable(s2, s1):
-        return ExtendsAnswer(Verdict.NO, witness=s2)
+        return ExtendsAnswer(witness=s2)
     if len(s2) < len(s1):
         z = T2.least_step(s2, skip=(s1[len(s2)],))
-        return ExtendsAnswer(Verdict.NO, witness=s2 + (z,))
+        return ExtendsAnswer(witness=s2 + (z,))
     if not _contains(T1, s2):
-        return ExtendsAnswer(Verdict.NO, witness=_first_bad_prefix(T1, s2))
+        return ExtendsAnswer(witness=_first_bad_prefix(T1, s2))
     for key, steps in T1.exclusions:
         if not is_prefix(s2, key) or not _contains(T2, key):
             continue
@@ -185,12 +184,12 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         floor, excl = T2.floor_at(len(key)), T2.exclusion_at(key)
         bad = next((z for z in steps if z > floor and z not in excl), None)
         if bad is not None:
-            return ExtendsAnswer(Verdict.NO, witness=key + (bad,))
+            return ExtendsAnswer(witness=key + (bad,))
     if T1.floor is not None:
         witness = floor_gap_witness(T2, T1.floor)
         if witness is not None:
-            return ExtendsAnswer(Verdict.NO, witness=witness)
-    return ExtendsAnswer(Verdict.YES)
+            return ExtendsAnswer(witness=witness)
+    return ExtendsAnswer()
 
 
 def verify_transcript(
@@ -245,9 +244,9 @@ def verify_transcript(
         if e.kind == MEET:
             if roster:
                 D = roster[e.index % len(roster)]
-                add("meet.member", locus, D.member(e.condition) is Verdict.YES,
+                add("meet.member", locus, D.member(e.condition) is True,
                     f"condition not a member of dense set {e.index}")
-            avoid = _stem_extends_avoiding(e.condition.stem, prev.stem, A)
+            avoid = _stem_avoids(e.condition.stem, prev.stem, A)
             add("meet.avoid", locus, avoid,
                 "new stem entries hit the help set")
         else:

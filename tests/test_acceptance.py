@@ -17,7 +17,6 @@ from genco import (
     SelfCode,
     StemHitsSet,
     StemLengthSet,
-    Verdict,
     build_coded_generic,
     build_pair,
     decode,
@@ -59,7 +58,7 @@ def test_criterion_1_coded_generic_round_trip():
         assert decode(A, t.g_prefix) == x.values(64)
         met = set()
         for e in t.entries:
-            if e.kind == "MEET" and roster[e.index].member(e.condition) is Verdict.YES:
+            if e.kind == "MEET" and roster[e.index].member(e.condition) is True:
                 met.add(e.index)
         assert met == set(range(len(roster)))
     _report(1, "coded generic round trip", started, 10.0)
@@ -75,8 +74,8 @@ def test_criterion_2_meet_search_contract():
         D = random_dense(rng)
         A = random_help(rng)
         R = extend_in_A(T, D, A, fuel=100_000)  # FuelExhausted would fail the test
-        assert extends_A(R, T, A).verdict is Verdict.YES
-        assert D.member(R) is Verdict.YES
+        assert extends_A(R, T, A)
+        assert D.member(R) is True
     _report(2, "meet search contract", started, 5.0)
 
 

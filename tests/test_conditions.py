@@ -16,7 +16,6 @@ from genco import (
     FloorRule,
     DominateSet,
     HechlerCondition,
-    Verdict,
     contains,
     excluded_successors,
     extends,
@@ -25,9 +24,8 @@ from genco import (
     parse_condition,
     render_condition,
     restrict,
-    stem_extends_avoiding,
 )
-from genco.conditions import comparable, is_prefix, least_floor_gap
+from genco.conditions import comparable, floor_max, is_prefix, least_floor_gap
 from conftest import node_in, random_condition
 from oracles import extends_bounded
 
@@ -159,6 +157,13 @@ class TestMeet:
         for n in range(6):
             assert m.floor.value(n) == max(2, n)
 
+    def test_floor_max_of_equal_floors(self):
+        # equal floors come back as they are, not rebuilt
+        f = FloorRule((3, 1), 1, 2)
+        assert floor_max(f, f) is f
+        g = FloorRule((3, 1), 1, 2)
+        assert g is not f and floor_max(f, g) == f
+
     def test_incomparable_stems_rejected(self):
         with pytest.raises(ValueError):
             meet(HechlerCondition((0,)), HechlerCondition((1,)))
@@ -184,18 +189,18 @@ class TestMeet:
 class TestExtends:
     def test_reflexive(self):
         T = HechlerCondition((1,), {(1,): (0, 2)}, FloorRule((2,), 0, 1))
-        assert extends(T, T).verdict is Verdict.YES
+        assert extends(T, T)
 
     def test_restrict_extends(self):
         rng = random.Random(3)
         for _ in range(40):
             T = random_condition(rng)
             t = node_in(rng, T, rng.randrange(3))
-            assert extends(restrict(T, t), T).verdict is Verdict.YES
+            assert extends(restrict(T, t), T)
 
     def test_missing_atom_witnessed(self):
         ans = extends(FULL_TREE, HechlerCondition((), {(): (4,)}))
-        assert ans.verdict is Verdict.NO and ans.witness == (4,)
+        assert not ans and ans.witness == (4,)
         assert contains(FULL_TREE, ans.witness)
 
     @pytest.mark.parametrize("b", [10**6, 10**18])
@@ -207,7 +212,7 @@ class TestExtends:
         start = time.perf_counter()
         ans = extends(T2, T1)
         assert time.perf_counter() - start < 0.1
-        assert ans.verdict is Verdict.NO and ans.witness == (b + 2,)
+        assert not ans and ans.witness == (b + 2,)
 
     def test_atom_witness_is_least_uncovered_step(self):
         # the witness is that of the first T1 atom with a step missing from
@@ -240,9 +245,9 @@ class TestExtends:
             other = HechlerCondition(T1.stem, {}, FloorRule((), 0, rng.randrange(3)))
             T2 = meet(T1, other) or T1
             T3 = restrict(T2, node_in(rng, T2, rng.randrange(2)))
-            assert extends(T1, T0).verdict is Verdict.YES
-            assert extends(T3, T2).verdict is Verdict.YES
-            assert extends(T3, T0).verdict is Verdict.YES
+            assert extends(T1, T0)
+            assert extends(T3, T2)
+            assert extends(T3, T0)
 
     def test_no_has_real_witness(self):
         rng = random.Random(5)
@@ -250,7 +255,7 @@ class TestExtends:
         for _ in range(300):
             T1, T2 = random_condition(rng), random_condition(rng)
             ans = extends(T2, T1)
-            if ans.verdict is Verdict.NO:
+            if not ans:
                 hits += 1
                 assert contains(T2, ans.witness) and not contains(T1, ans.witness)
         assert hits > 50  # random pairs mostly fail inclusion
@@ -311,8 +316,10 @@ class TestBoundary:
             fn(self.T, (-1,))
 
     def test_stem_avoidance_rejects_negative(self):
+        # stem avoidance reads stems only from conditions, so the
+        # constructor is its boundary
         with pytest.raises(ValueError):
-            stem_extends_avoiding((1, -1), (1,), None)
+            HechlerCondition((1, -1))
 
     def test_parsed_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -326,7 +333,7 @@ class TestExtendsMasked:
     T2 = HechlerCondition((), {(): (1, 2, 3, 4, 5)}, FloorRule((0,), 0, 0))
 
     def test_masked_deficit_is_yes(self):
-        assert extends(self.T2, self.T1).verdict is Verdict.YES
+        assert extends(self.T2, self.T1)
 
     def test_oracle_agrees(self):
         assert extends_bounded(self.T2, self.T1, 6, 64) is None
@@ -337,7 +344,7 @@ class TestExtendsMasked:
         T1 = HechlerCondition((), {}, FloorRule((5, 5) + (0,) * 10 + (9,), 0, 0))
         T2 = HechlerCondition((6,), {(6,): (1, 2, 3, 4, 5)}, FloorRule((), 0, 0))
         ans = extends(T2, T1)
-        assert ans.verdict is Verdict.NO
+        assert not ans
         assert ans.witness == (6, 6) + (1,) * 11
         assert contains(T2, ans.witness) and not contains(T1, ans.witness)
 
@@ -383,15 +390,15 @@ class TestExtendsDifferential:
         for _ in range(400):
             T1, T2 = _masked_pair(rng)
             ans = extends(T2, T1)
-            if ans.verdict is Verdict.NO:
+            if not ans:
                 assert contains(T2, ans.witness) and not contains(T1, ans.witness)
             else:
-                assert ans.verdict is Verdict.YES
+                assert ans
                 assert extends_bounded(T2, T1, 4, 10) is None, (T1, T2)
                 if least_floor_gap(T2.floor, T1.floor, len(T2.stem)) == len(T2.stem):
                     masked_yes += 1
             D = DominateSet(T1.floor)
-            assert (D.member(T2) is Verdict.YES) == bool(extends(T2, D.refine(T2)))
+            assert (D.member(T2) is True) == bool(extends(T2, D.refine(T2)))
         # the generator reaches the case no floor dominance can settle
         assert masked_yes >= 20
 
@@ -413,7 +420,7 @@ class TestExtendsBounded:
         for _ in range(150):
             T1 = random_condition(rng, max_entry=8)
             T2 = random_condition(rng, max_entry=8)
-            if extends(T2, T1).verdict is Verdict.YES:
+            if extends(T2, T1):
                 assert extends_bounded(T2, T1, 5, 12) is None
 
     def test_agrees_with_brute_force(self):
@@ -446,20 +453,22 @@ class TestExtendsA:
     A = Evens()
 
     def test_avoiding_examples(self):
-        assert stem_extends_avoiding((1, 3, 5), (1,), self.A)
-        assert not stem_extends_avoiding((1, 4), (1,), self.A)
-        assert stem_extends_avoiding((1,), (1,), self.A)
+        T1 = HechlerCondition((1,))
+        assert extends_A(HechlerCondition((1, 3, 5)), T1, self.A)
+        ans = extends_A(HechlerCondition((1, 4)), T1, self.A)
+        assert not ans and ans.reason == "stem-avoidance"
+        assert extends_A(T1, T1, self.A)
 
     def test_reflexive(self):
         T = HechlerCondition((2,))
-        assert extends_A(T, T, self.A).verdict is Verdict.YES
+        assert extends_A(T, T, self.A)
 
     def test_odd_restrict_allowed(self):
-        assert extends_A(restrict(FULL_TREE, (1, 3)), FULL_TREE, self.A).verdict is Verdict.YES
+        assert extends_A(restrict(FULL_TREE, (1, 3)), FULL_TREE, self.A)
 
     def test_even_restrict_refused(self):
         ans = extends_A(restrict(FULL_TREE, (2,)), FULL_TREE, self.A)
-        assert ans.verdict is Verdict.NO and ans.reason == "stem-avoidance"
+        assert not ans and ans.reason == "stem-avoidance"
 
     def test_transitive(self):
         def least_odd_step(T, v):
@@ -473,9 +482,9 @@ class TestExtendsA:
             T0 = random_condition(rng)
             T1 = restrict(T0, T0.stem + (least_odd_step(T0, T0.stem),))
             T2 = restrict(T1, T1.stem + (least_odd_step(T1, T1.stem),))
-            assert extends_A(T1, T0, self.A).verdict is Verdict.YES
-            assert extends_A(T2, T1, self.A).verdict is Verdict.YES
-            assert extends_A(T2, T0, self.A).verdict is Verdict.YES
+            assert extends_A(T1, T0, self.A)
+            assert extends_A(T2, T1, self.A)
+            assert extends_A(T2, T0, self.A)
 
 
 class TestRendering:

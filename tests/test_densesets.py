@@ -20,7 +20,6 @@ from genco import (
     StemLengthSet,
     StemPattern,
     UserStemsSet,
-    Verdict,
     WitnessStemMismatch,
     code_step,
     dense_from_config,
@@ -118,14 +117,14 @@ class TestExtendInA:
     def test_stem_length_descent(self):
         R = extend_in_A(FULL_TREE, StemLengthSet(2), EVENS)
         assert R.stem == (1, 1)
-        assert StemLengthSet(2).member(R) is Verdict.YES
+        assert StemLengthSet(2).member(R) is True
 
     def test_dominate_keeps_stem(self):
         D = DominateSet(FloorRule((), 0, 4))
         R = extend_in_A(FULL_TREE, D, EVENS)
         assert R.stem == ()
         assert R.floor is not None and R.floor.value(3) == 4
-        assert D.member(R) is Verdict.YES
+        assert D.member(R) is True
 
     def test_exclusion_is_dodged(self):
         T = HechlerCondition((), {(): (5,)})
@@ -139,8 +138,8 @@ class TestExtendInA:
             D = random_dense(rng)
             A = random_help(rng)
             R = extend_in_A(T, D, A, fuel=100_000)
-            assert extends_A(R, T, A).verdict is Verdict.YES
-            assert D.member(R) is Verdict.YES
+            assert extends_A(R, T, A)
+            assert D.member(R) is True
 
     def test_plain_mode_takes_least_steps(self):
         R = extend_in_A(FULL_TREE, StemLengthSet(2), None)
@@ -155,7 +154,7 @@ class TestExtendInA:
                 return iter(range(10**9))
 
             def member(self, T):
-                return Verdict.NO
+                return False
 
             def config(self):
                 return {"type": "user_stems", "patterns": []}
@@ -172,7 +171,7 @@ class TestExtendInA:
                 return iter(range(10**9))
 
             def member(self, T):
-                return Verdict.YES
+                return True
 
             def config(self):
                 return {"type": "user_stems", "patterns": []}
@@ -212,43 +211,43 @@ class TestCodeStep:
             assert R.stem[:-1] == T.stem and len(R.stem) == len(T.stem) + 1
             z = R.stem[-1]
             assert A.member(z) and eta(A, z) == m
-            assert extends(R, T).verdict is Verdict.YES
+            assert extends(R, T)
             ans = extends_A(R, T, A)
-            assert ans.verdict is Verdict.NO and ans.reason == "stem-avoidance"
+            assert not ans and ans.reason == "stem-avoidance"
 
 
 class TestMember:
     def test_stem_length(self):
-        assert StemLengthSet(2).member(HechlerCondition((1, 1))) is Verdict.YES
-        assert StemLengthSet(2).member(HechlerCondition((1,))) is Verdict.NO
+        assert StemLengthSet(2).member(HechlerCondition((1, 1))) is True
+        assert StemLengthSet(2).member(HechlerCondition((1,))) is False
 
     def test_dominate_dominated(self):
         D = DominateSet(FloorRule((), 0, 4))
         T = HechlerCondition((), {}, FloorRule((), 0, 6))
-        assert D.member(T) is Verdict.YES
+        assert D.member(T) is True
 
     def test_dominate_violation_found(self):
-        assert DominateSet(FloorRule((), 0, 4)).member(FULL_TREE) is Verdict.NO
+        assert DominateSet(FloorRule((), 0, 4)).member(FULL_TREE) is False
 
     def test_dominate_masked_is_member(self):
         # the only sub-floor steps at the stem are excluded by atoms, and
         # above the stem the floor already clears the rule
         D = DominateSet(FloorRule((5,), 0, 0))
         T = HechlerCondition((), {(): (1, 2, 3, 4, 5)}, FloorRule((0,), 0, 0))
-        assert D.member(T) is Verdict.YES
+        assert D.member(T) is True
 
     def test_dominate_steeper_tail_below(self):
         # (3, 3) lies in the tree (floor 2, 2, 3, ...) but not in the
         # refinement (floor 1, 3, 3, ...)
         D = DominateSet(FloorRule((1,), 0, 3))
         T = HechlerCondition(floor=FloorRule((2,), 1, 1))
-        assert D.member(T) is Verdict.NO
+        assert D.member(T) is False
 
     def test_user_stems(self):
         D = UserStemsSet([StemPattern(2, ((5, 1),))])
-        assert D.member(HechlerCondition((6, 0))) is Verdict.YES
-        assert D.member(HechlerCondition((6,))) is Verdict.NO
-        assert D.member(HechlerCondition((0, 0))) is Verdict.NO
+        assert D.member(HechlerCondition((6, 0))) is True
+        assert D.member(HechlerCondition((6,))) is False
+        assert D.member(HechlerCondition((0, 0))) is False
 
     def test_refine_is_member_with_same_stem(self):
         rng = random.Random(15)
@@ -258,8 +257,8 @@ class TestMember:
             D = DominateSet(FloorRule(table, rng.randrange(2), rng.randrange(6)))
             R = D.refine(T)
             assert R.stem == T.stem
-            assert D.member(R) is Verdict.YES
-            assert extends(R, T).verdict is Verdict.YES
+            assert D.member(R) is True
+            assert extends(R, T)
 
 
 class TestStemPattern:

@@ -17,7 +17,6 @@ from genco import (
     StemLengthSet,
     StemPattern,
     UserStemsSet,
-    Verdict,
     build_coded_generic,
     decode,
     extends_A,
@@ -72,10 +71,10 @@ class TestBuild:
             prev = FULL_TREE
             for e in t.entries:
                 if e.kind == "MEET":
-                    assert extends_A(e.condition, prev, A).verdict is Verdict.YES
+                    assert extends_A(e.condition, prev, A)
                 else:
                     ans = extends_A(e.condition, prev, A)
-                    assert ans.verdict is Verdict.NO and ans.reason == "stem-avoidance"
+                    assert not ans and ans.reason == "stem-avoidance"
                 prev = e.condition
 
     def test_end_to_end_random(self):
@@ -89,7 +88,7 @@ class TestBuild:
             assert decode(A, t.g_prefix) == x.values(steps)
             met = set()
             for e in t.entries:
-                if e.kind == "MEET" and roster[e.index].member(e.condition) is Verdict.YES:
+                if e.kind == "MEET" and roster[e.index].member(e.condition) is True:
                     met.add(e.index)
             assert met == set(range(len(roster)))
 
@@ -150,6 +149,19 @@ class TestVerify:
             [StemLengthSet(1)], EVENS, EventuallyPeriodicSeq((), (3,)), t
         )
         assert not report.ok
+
+    def test_truthy_non_bool_member_fails(self):
+        # meet.member accepts only True itself from a dense set's member
+        class Truthy(StemLengthSet):
+            def member(self, T):
+                return "yes" if super().member(T) else ""
+
+        t = build_coded_generic([StemLengthSet(2)], EVENS, ONES, 3)
+        assert verify_transcript([StemLengthSet(2)], EVENS, ONES, t).ok
+        report = verify_transcript([Truthy(2)], EVENS, ONES, t)
+        assert [(c.check, c.locus) for c in report.failures()] == [
+            ("meet.member", f"entry {pos}") for pos in (0, 2, 4)
+        ]
 
     def test_every_mutation_caught(self):
         rng = random.Random(2718)
