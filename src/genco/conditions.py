@@ -17,8 +17,8 @@ Conditions are validated when constructed publicly or parsed; internal
 operations trust them.  The boundary is the `HechlerCondition(...)`
 constructor, `contains`, `restrict` and `parse_condition`; everything
 built from a valid condition goes through `HechlerCondition._trusted`
-and the private `_contains`, `_restrict` and `_stem_avoids`, which
-never re-check a whole stem.
+and the private `_contains` and `_restrict`, which never re-check a
+whole stem.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ class HechlerCondition(Frozen):
         tuple of naturals, `exclusions` canonical with every key
         extending `stem`.  Nothing is checked."""
         T = object.__new__(cls)
-        object.__setattr__(T, "stem", stem)
-        object.__setattr__(T, "exclusions", exclusions)
-        object.__setattr__(T, "floor", floor)
+        _set_stem(T, stem)
+        _set_exclusions(T, exclusions)
+        _set_floor(T, floor)
         return T
 
     def exclusion_at(self, v: Node) -> tuple[int, ...]:
@@ -177,6 +177,12 @@ class HechlerCondition(Frozen):
         while z in banned:
             z += 1
         return z
+
+
+# the slot descriptors' setters, which skip Frozen.__setattr__
+_set_stem, _set_exclusions, _set_floor = (
+    HechlerCondition.__dict__[name].__set__ for name in HechlerCondition.__slots__
+)
 
 
 def _canonical_exclusions(merged: dict[Node, set[int]]):
@@ -311,9 +317,11 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     of T2 at or above its stem to fall to or below T1's floor.  No
     carries a witness node in T2 - T1.  Every YES is one shared answer.
     """
+    if T2 is T1:
+        return _YES
     s2, s1 = T2.stem, T1.stem
     n1 = len(s1)
-    if s2[:n1] != s1:
+    if s2 is not s1 and s2[:n1] != s1:
         if is_prefix(s2, s1):
             z = T2.least_step(s2, skip=(s1[len(s2)],))
             return ExtendsAnswer(witness=s2 + (z,))
@@ -341,22 +349,14 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     return _YES
 
 
-def _stem_avoids(t2: Node, t1: Node, A) -> bool:
-    """t2 extends t1 and every new entry stays outside the help set A
-    (A may be None, making the avoidance clause vacuous)."""
-    if not is_prefix(t1, t2):
-        return False
-    if A is None:
-        return True
-    return not any(map(A.member, t2[len(t1):]))
-
-
 def extends_A(T2: HechlerCondition, T1: HechlerCondition, A) -> ExtendsAnswer:
-    """Conjunction of extends(T2, T1) and stem avoidance of A."""
+    """Conjunction of extends(T2, T1) and stem avoidance of A: every new
+    stem entry stays outside the help set A (vacuous when A is None)."""
     inc = extends(T2, T1)
     if not inc:
         return ExtendsAnswer(witness=inc.witness, reason="inclusion")
-    if not _stem_avoids(T2.stem, T1.stem, A):
+    # the YES shows that T1's stem is a prefix of T2's
+    if A is not None and any(map(A.member, T2.stem[len(T1.stem):])):
         return ExtendsAnswer(reason="stem-avoidance")
     return _YES
 
@@ -415,10 +415,12 @@ class ConditionCodec:
     transcript, in line order.
 
     Stems go through a `SeqCodec`, so a stem that extends the last one
-    costs only its new entries, and floor texts are memoized.  A text
-    with exclusion atoms, or one this fast path rejects, goes through
-    the full `parse_condition`, so every result and every error message
-    is its own.  Use one instance per direction and per transcript.
+    costs only its new entries, and floor texts are memoized, the last
+    one tried first.  A text equal to the last one parsed gives the same
+    (immutable) condition again.  A text with exclusion atoms, or one
+    this fast path rejects, goes through the full `parse_condition`, so
+    every result and every error message is its own.  Use one instance
+    per direction and per transcript.
     """
 
     _PLAIN = ";excl{};floor("
@@ -427,6 +429,10 @@ class ConditionCodec:
         self._stems = SeqCodec()
         self._floor_texts: dict[FloorRule | None, str] = {}
         self._floors: dict[str, FloorRule | None] = {}
+        self._floor_text: str | None = None  # the last floor parsed, and its rule
+        self._floor: FloorRule | None = None
+        self._text: str | None = None  # the last condition parsed, and its value
+        self._cond: HechlerCondition | None = None
 
     def render(self, T: HechlerCondition) -> str:
         floor = self._floor_texts.get(T.floor)
@@ -435,18 +441,26 @@ class ConditionCodec:
         return f"stem={self._stems.render(T.stem)};{_render_exclusions(T)};{floor}"
 
     def parse(self, text: str) -> HechlerCondition:
+        if text == self._text:
+            return self._cond
+        T = None
         # a valid stem holds no `;` and a valid floor no `}`, so this split
         # agrees with parse_condition's whenever both parts parse
         stem_part, plain, floor_part = text.partition(self._PLAIN)
         if plain and stem_part.startswith("stem=") and floor_part.endswith(")"):
             try:
-                if floor_part not in self._floors:
-                    self._floors[floor_part] = _parse_floor(floor_part[:-1])
+                if floor_part != self._floor_text:
+                    if floor_part not in self._floors:
+                        self._floors[floor_part] = _parse_floor(floor_part[:-1])
+                    self._floor_text, self._floor = floor_part, self._floors[floor_part]
                 stem = self._stems.parse(stem_part[len("stem="):])
-                return HechlerCondition._trusted(stem, (), self._floors[floor_part])
+                T = HechlerCondition._trusted(stem, (), self._floor)
             except ValueError:
                 pass
-        return parse_condition(text)
+        if T is None:
+            T = parse_condition(text)
+        self._text, self._cond = text, T
+        return T
 
 
 def _parse_floor(body: str) -> FloorRule | None:

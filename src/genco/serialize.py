@@ -104,11 +104,11 @@ class SeqCodec:
     text (all but the closing bracket).  A sequence that extends the last
     one renders as the head plus its new entries.  A text that starts
     with the head and goes on at an entry boundary (`,` or the closing
-    bracket) parses as the last sequence plus its new entries, read by
-    `parse_seq`.  Anything else goes through the full `render_seq` or
-    `parse_seq`, so every result and every error message is theirs.  Use
-    one instance per direction and per sequence of a transcript, in line
-    order.
+    bracket) parses as the last sequence plus its new entries, read in
+    place by `parse_seq`'s rules.  Anything else goes through the full
+    `render_seq` or `parse_seq`, so every result and every error message
+    is theirs.  Use one instance per direction and per sequence of a
+    transcript, in line order.
     """
 
     def __init__(self):
@@ -132,26 +132,20 @@ class SeqCodec:
     def parse(self, text: str) -> tuple[int, ...]:
         if text == self._text:
             return self._seq
-        xs = self._extension(text)
+        xs = None
+        head = self._head
+        n = len(head)
+        if head and text.startswith(head) and text.startswith(",", n) and text.endswith("]"):
+            parts = text[n + 1 : -1].split(",")
+            if "" not in parts and "".join(parts).isdigit():
+                try:
+                    xs = self._seq + tuple(map(int, parts))
+                except ValueError:
+                    pass
         if xs is None:
             xs = parse_seq(text)
         self._keep(xs, text)
         return xs
-
-    def _extension(self, text: str) -> tuple[int, ...] | None:
-        """The sequence of `text` if it extends the last text at an entry
-        boundary and its new entries parse; else None."""
-        head = self._head
-        if not head or not text.startswith(head):
-            return None
-        rest = text[len(head):]
-        if not rest.startswith(","):
-            return None
-        try:
-            new = parse_seq("[" + rest[1:])
-        except ValueError:
-            return None
-        return self._seq + new if new else None
 
     def _keep(self, xs, text: str) -> None:
         self._seq, self._text = xs, text

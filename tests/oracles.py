@@ -22,7 +22,9 @@ per-line costs were cut: `extends` slices the stem prefix several times
 per call and builds its floor witness one tuple concatenation per level,
 and `verify_transcript` formats every check's detail, passing or not.
 The library must give the same verdicts, witnesses, check lists and
-report lines.
+report lines.  `_stem_avoids` is the stem-avoidance test of that
+verifier, which proved the stem prefix again instead of reusing the
+chain check's answer.
 
 `nth_prime`, `is_prime` and `prime_index` are the prime table before the
 sieve: it grows one trial division at a time, in a table of its own.
@@ -49,7 +51,6 @@ from genco.conditions import (
     Node,
     _contains,
     _floor_at,
-    _stem_avoids,
     comparable,
     is_prefix,
     least_floor_gap,
@@ -190,6 +191,16 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         if witness is not None:
             return ExtendsAnswer(witness=witness)
     return ExtendsAnswer()
+
+
+def _stem_avoids(t2: Node, t1: Node, A) -> bool:
+    """t2 extends t1 and every new entry stays outside the help set A
+    (A may be None, making the avoidance clause vacuous)."""
+    if not is_prefix(t1, t2):
+        return False
+    if A is None:
+        return True
+    return not any(map(A.member, t2[len(t1):]))
 
 
 def verify_transcript(

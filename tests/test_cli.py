@@ -432,6 +432,52 @@ class TestTooLarge:
         ]
         assert seconds < 2
 
+    def _forged_steps(self, tmp_path, command: str, dense: list):
+        # the honest one-step run, its STEPS header raised to 10^11
+        cfg = dict(HECHLER_CFG, target={"prefix": [], "cycle": [0]}, dense=dense, steps=1)
+        cf, tf = tmp_path / "c.json", tmp_path / "t"
+        cf.write_text(json.dumps(cfg))
+        assert run_genco([command, "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
+        text = tf.read_text()
+        assert "\nSTEPS 1\n" in text
+        tf.write_text(text.replace("\nSTEPS 1\n", "\nSTEPS 100000000000\n"))
+        return run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
+
+    def test_forged_step_count(self, tmp_path):
+        dense = [{"type": "dominate", "table": [], "a": 1, "b": 0}]
+        code, out, err, seconds = self._forged_steps(tmp_path, "build", dense)
+        assert code == EXIT_VERIFY and err == ""
+        assert out.splitlines() == [
+            "ok header.roster @-",
+            "ok header.help @-",
+            "ok header.target @-",
+            "FAIL structure @- entries [('MEET', 0), ('CODE', 0)]... do not match the declared step count/mode",
+            "ok chain.extends @entry 0",
+            "ok meet.member @entry 0",
+            "ok meet.avoid @entry 0",
+            "ok chain.extends @entry 1",
+            "ok code.step @entry 1",
+            "ok code.value @entry 1",
+            "ok footer.g @-",
+            "ok decode.prefix @-",
+            "FAIL",
+        ]
+        assert seconds < 2
+
+    def test_forged_step_count_of_empty_plain_run(self, tmp_path):
+        # no entry is due at any step, so every step count agrees
+        code, out, err, seconds = self._forged_steps(tmp_path, "plain", [])
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines() == [
+            "ok header.roster @-",
+            "ok header.help @-",
+            "ok header.target @-",
+            "ok structure @-",
+            "ok footer.g @-",
+            "PASS",
+        ]
+        assert seconds < 2
+
     @pytest.mark.parametrize("entry", [10**7, 10**8])
     def test_selfcode_power_past_digit_limit(self, tmp_path, entry):
         # 3**(entry+1) is never taken: its size is known from logarithms

@@ -110,12 +110,24 @@ def damage(rng: random.Random, text: str, kind: str, pair: bool) -> str:
                 m = len(entries) // 2
                 entries[m] = str(int(entries[m]) + 1 + rng.randrange(3))
             lines[k] = lines[k][:start] + ",".join(entries) + lines[k][end:]
+    elif kind == "repeat":
+        # give a line the condition, or one or both snapshots, of the line
+        # before it, so that the line repeats text the codec just parsed
+        tag = "STAGE " if pair else ("MEET ", "CODE ")
+        candidates = [
+            k for k in range(1, len(lines)) if lines[k].startswith(tag) and lines[k - 1].startswith(tag)
+        ]
+        k = rng.choice(candidates)
+        parts, before = lines[k].split(" "), lines[k - 1].split(" ")
+        for field in rng.choice(((3,), (5,), (3, 5))) if pair else (-1,):
+            parts[field] = before[field]
+        lines[k] = " ".join(parts)
     else:
         raise AssertionError(kind)
     return "\n".join(lines) + "\n"
 
 
-DAMAGE = ("flip", "truncate", "drop", "duplicate", "swap", "mid_entry")
+DAMAGE = ("flip", "truncate", "drop", "duplicate", "swap", "mid_entry", "repeat")
 
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
@@ -150,8 +162,9 @@ def test_line_damage_parses_like_oracle(kind, pair):
                 accepted += 1
             else:
                 rejected += 1
-    # both outcomes occur, except that an edited entry is still well formed
-    assert accepted > 0 if kind == "mid_entry" else rejected > 0
+    # both outcomes occur, except that an edited entry or a repeated
+    # condition is still well formed
+    assert accepted > 0 if kind in ("mid_entry", "repeat") else rejected > 0
     if kind in ("duplicate", "swap"):
         assert accepted > 0
 

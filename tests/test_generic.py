@@ -251,3 +251,60 @@ def test_validation_is_linear_in_steps(monkeypatch):
     report = verify_transcript(roster, EVENS, x, parse_transcript(write_transcript(t)))
     assert report.ok
     assert sum(validated) - 2 <= 4 * steps
+
+
+# two 64-step runs of the verify_forged benchmark (seed 1), copied here:
+# each coded element recurs, so g has few distinct entries
+LOOKUP_RUNS = {
+    "primes": {
+        "poset": "hechler",
+        "help": {"kind": "primes"},
+        "target": {"prefix": [], "cycle": [2, 1, 4, 5, 3, 0]},
+        "dense": [
+            {"type": "stem_length", "n": 3},
+            {"type": "dominate", "table": [5], "a": 0, "b": 2},
+            {"type": "stem_hits", "k": 3},
+            {"type": "user_stems", "patterns": [{"min_len": 3}, {"hits": [{"k": 7, "count": 2}]}]},
+        ],
+        "steps": 64,
+    },
+    "selfcode": {
+        "poset": "hechler",
+        "help": {"kind": "selfcode", "abar": {"prefix": [], "cycle": [3, 0, 2, 1]}},
+        "target": {"prefix": [], "cycle": [1, 0, 2, 3, 4, 5]},
+        "dense": [
+            {"type": "stem_length", "n": 3},
+            {"type": "stem_hits", "k": 3},
+            {"type": "dominate", "table": [1], "a": 1, "b": 4},
+            {"type": "user_stems", "patterns": [{"min_len": 3}, {"hits": [{"k": 3, "count": 2}]}]},
+        ],
+        "steps": 64,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOOKUP_RUNS))
+def test_verify_looks_up_each_entry_once(kind):
+    from genco.cli import parse_config
+
+    cfg = parse_config(json.dumps(LOOKUP_RUNS[kind]))
+    roster, x = cfg.roster(), cfg.target()
+    text = write_transcript(build_coded_generic(roster, cfg.help_set(), x, cfg.steps))
+    A = cfg.help_set()  # a fresh instance, whose lookups are counted
+    calls = {"member": 0, "index_of": 0}
+    for name in calls:
+        method = getattr(A, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(A, name, counted)
+    t = parse_transcript(text)
+    assert verify_transcript(roster, A, x, t).ok
+    looked_up = dict(calls)
+    distinct = set(t.g_prefix)
+    members = {z for z in distinct if A.member(z)}
+    assert len(members) < len(distinct) < len(t.g_prefix) / 5
+    assert looked_up["member"] <= len(distinct)
+    assert looked_up["index_of"] <= len(members)

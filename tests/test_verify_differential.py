@@ -201,3 +201,40 @@ def test_floor_gap_witness_like_oracle():
     witness = floor_gap_witness(T, f)
     assert witness == oracles.floor_gap_witness(T, f)
     assert witness == (2, 5, 7) + (301,) * 299
+
+
+def test_code_line_repeating_its_meet_verifies_like_oracle():
+    # the CODE line's condition is its MEET's, so the parse gives the MEET's
+    # condition again and the chain check compares a condition with itself
+    roster = [StemLengthSet(2), DominateSet(FloorRule((), 1, 1))]
+    x = EventuallyPeriodicSeq((), (1,))
+    lines = write_transcript(build_coded_generic(roster, Evens(), x, 3)).splitlines()
+    assert lines[6].startswith("MEET ") and lines[7].startswith("CODE 1 ")
+    z = lines[7].split(" ")[2]
+    lines[7] = " ".join(lines[7].split(" ")[:3] + lines[6].split(" ")[2:])
+    t = parse_transcript("\n".join(lines) + "\n")
+    assert t.entries[3].condition is t.entries[2].condition
+    assert not assert_same_verify(roster, Evens(), x, t)
+    report = verify_transcript(roster, Evens(), x, t)
+    # the next MEET then carries the coded entry as a new stem entry
+    assert [(c.check, c.locus, c.detail) for c in report.failures()] == [
+        ("code.step", "entry 3", f"stem did not grow by exactly the recorded value {z}"),
+        ("meet.avoid", "entry 4", "new stem entries hit the help set"),
+    ]
+
+
+def test_step_counts_verify_like_oracle():
+    # the structure check compares lengths before it builds the expected
+    # list; every declared count, short or long, gives the oracle's verdict
+    cases = list(random_runs(71, 3, 4))
+    roster = [StemLengthSet(2)]
+    cases.append((roster, None, None, write_transcript(build_coded_generic(roster, None, None, 4))))
+    cases.append(([], None, None, write_transcript(build_coded_generic([], None, None, 4))))
+    cases.append(([], Evens(), EventuallyPeriodicSeq((), (1,)),
+                  write_transcript(build_coded_generic([], Evens(), EventuallyPeriodicSeq((), (1,)), 4))))
+    passed = 0
+    for roster, A, x, text in cases:
+        for steps in range(-2, 12):
+            forged = text.replace("\nSTEPS 4\n", f"\nSTEPS {steps}\n")
+            passed += assert_same_verify(roster, A, x, parse_transcript(forged))
+    assert passed >= len(cases)
