@@ -19,7 +19,7 @@ from . import cohenpair, generic
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, help_set_from_config
 from .densesets import DEFAULT_FUEL, DenseSet, StemBasedDenseSet, dense_from_config, rank_bounded
 from .errors import ConfigError, FuelExhausted, MalformedTranscript
-from .serialize import check_keys, nat, parse_seq, render_bits, render_seq
+from .serialize import build_at, check_keys, nat, parse_seq, render_bits, render_seq
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -156,10 +156,7 @@ def _cmd_cohen(args, out) -> int:
 
 def _cmd_decode(args, out) -> int:
     A = help_set_from_config(_load_json(_read(args.help_config), "<json>"))
-    try:
-        g = parse_seq(args.g)
-    except ValueError as exc:
-        raise ConfigError("g", str(exc))
+    g = build_at("g", parse_seq, args.g)
     print(render_seq(decode(A, g, _fuel())), file=out)
     return EXIT_OK
 
@@ -193,13 +190,14 @@ def _cmd_rank(args, out) -> int:
     D = dense_from_config(_load_json(args.dense, "dense"), "dense")
     if not isinstance(D, StemBasedDenseSet):
         raise ConfigError("dense", "rank requires a stem-based dense set")
-    try:
-        node = parse_seq(args.node)
-    except ValueError as exc:
-        raise ConfigError("node", str(exc))
+    node = build_at("node", parse_seq, args.node)
     r = rank_bounded(D, node, nat(args.max_rank, "max-rank"), nat(args.width, "width"))
     print("null" if r is None else str(r), file=out)
     return EXIT_OK
+
+
+_COMMANDS = {"build": _cmd_build, "plain": _cmd_build, "decode": _cmd_decode,
+             "verify": _cmd_verify, "cohen": _cmd_cohen, "rank": _cmd_rank}
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -241,17 +239,7 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command in ("build", "plain"):
-            return _cmd_build(args, out)
-        if args.command == "decode":
-            return _cmd_decode(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "cohen":
-            return _cmd_cohen(args, out)
-        if args.command == "rank":
-            return _cmd_rank(args, out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](args, out)
     except ConfigError as exc:
         print(str(exc), file=err)
         return EXIT_CONFIG

@@ -150,8 +150,6 @@ class Primes(HelpSet):
         return primes.nth_prime(n, fuel)
 
     def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
-        if not primes.is_prime(z):
-            raise ValueError(f"{z} is not a member")
         return primes.prime_index(z, fuel)
 
     def config(self) -> dict:
@@ -330,7 +328,7 @@ def selfcode_element(abar: EventuallyPeriodicSeq, n: int) -> int:
     return prefix_code(abar.values(n + 1))
 
 
-def recover_from_subset(elements, n: int, fuel: int = 100_000) -> tuple[int, ...]:
+def recover_from_subset(elements, n: int, fuel: int = DEFAULT_FUEL) -> tuple[int, ...]:
     """Read off the first n entries of abar from any infinite subset of
     its self-coding set: the first element whose code length reaches n
     settles the answer.  Malformed elements are reported with the value;
@@ -357,7 +355,7 @@ def decode(A: HelpSet, g, fuel: int = DEFAULT_FUEL) -> tuple[int, ...]:
     return tuple(eta(A, z, fuel) for z in g if A.member(z))
 
 
-def difference_prefix(B, A, count: int, fuel: int = 100_000) -> list[int]:
+def difference_prefix(B, A, count: int, fuel: int = DEFAULT_FUEL) -> list[int]:
     """First `count` elements of B - A, scanning B's enumeration with a
     probe budget."""
     out: list[int] = []

@@ -23,6 +23,7 @@ a few C-level passes over the string.
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq
@@ -55,6 +56,11 @@ class CohenDense:
     def member(self, p: Bits) -> bool:
         raise NotImplementedError
 
+    def met_after(self, p: Bits, start: int) -> bool:
+        """Whether some prefix p[:n] with start <= n <= len(p) is a
+        member.  The built-in sets answer in one pass over p."""
+        return any(self.member(p[:n]) for n in range(start, len(p) + 1))
+
     def extend(self, p: Bits) -> Bits:
         raise NotImplementedError
 
@@ -68,13 +74,18 @@ class CohenDense:
 
 
 class ContainsSet(CohenDense):
+    kind, part = "contains", "substring"
+
     def __init__(self, w):
         self.w = as_bits(parse_bits(w) if isinstance(w, str) else w)
         if not self.w:
-            raise ValueError("substring must be nonempty")
+            raise ValueError(f"{self.part} must be nonempty")
 
     def member(self, p: Bits) -> bool:
         return self.w in p
+
+    def met_after(self, p: Bits, start: int) -> bool:
+        return len(p) >= start and self.w in p
 
     def extend(self, p: Bits) -> Bits:
         return p if self.member(p) else p + self.w
@@ -83,7 +94,7 @@ class ContainsSet(CohenDense):
         return 0 if self.member(p) else len(self.w)
 
     def config(self) -> dict:
-        return {"type": "contains", "w": render_bits(self.w)}
+        return {"type": self.kind, "w": render_bits(self.w)}
 
 
 class MinLenSet(CohenDense):
@@ -95,6 +106,9 @@ class MinLenSet(CohenDense):
     def member(self, p: Bits) -> bool:
         return len(p) >= self.n
 
+    def met_after(self, p: Bits, start: int) -> bool:
+        return len(p) >= max(start, self.n)
+
     def extend(self, p: Bits) -> Bits:
         return p + bytes(self.n - len(p)) if len(p) < self.n else p
 
@@ -105,23 +119,16 @@ class MinLenSet(CohenDense):
         return {"type": "min_len", "n": self.n}
 
 
-class EndsWithSet(CohenDense):
-    def __init__(self, w):
-        self.w = as_bits(parse_bits(w) if isinstance(w, str) else w)
-        if not self.w:
-            raise ValueError("suffix must be nonempty")
+class EndsWithSet(ContainsSet):
+    kind, part = "ends_with", "suffix"
 
     def member(self, p: Bits) -> bool:
         return p.endswith(self.w)
 
-    def extend(self, p: Bits) -> Bits:
-        return p if self.member(p) else p + self.w
-
-    def growth(self, p: Bits) -> int:
-        return 0 if self.member(p) else len(self.w)
-
-    def config(self) -> dict:
-        return {"type": "ends_with", "w": render_bits(self.w)}
+    def met_after(self, p: Bits, start: int) -> bool:
+        # some prefix p[:n] with n >= start ends with w: w occurs in p
+        # at a position i with i + len(w) >= start
+        return len(p) >= start and p.find(self.w, max(start - len(self.w), 0)) != -1
 
 
 def cohen_from_config(cfg, path: str = "dense") -> CohenDense:
@@ -257,8 +264,6 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 def parse_pair_transcript(text: str) -> PairTranscript:
     """Inverse of `write_pair_transcript`; raises MalformedTranscript."""
-    import json
-
     lines = text.splitlines()
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
@@ -298,7 +303,9 @@ def verify_pair(
     add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
         "roster2 hash mismatch")
     add("header.target", "-", t.target_config == x.config(), "target mismatch")
-    add("header.stages", "-", t.stages == len(t.snapshots), "stage count mismatch")
+    stray = next((f"stage {i} is numbered {s.index}" for i, s in enumerate(t.snapshots) if s.index != i), "")
+    add("header.stages", "-", t.stages == len(t.snapshots) and not stray,
+        "stage count mismatch" if t.stages != len(t.snapshots) else stray)
 
     met1 = [False] * len(roster1)
     met2 = [False] * len(roster2)
@@ -312,7 +319,7 @@ def verify_pair(
         for check, roster, met, prev, cur in sides:
             if roster:
                 D = roster[s.index % len(roster)]
-                hit = any(D.member(cur[:n]) for n in range(len(prev), len(cur) + 1))
+                hit = D.met_after(cur, len(prev))
                 add(check, locus, hit, "no prefix of this stage lies in the dense set")
                 if hit:
                     met[s.index % len(roster)] = True

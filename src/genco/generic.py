@@ -20,6 +20,8 @@ stood alone.
 
 from __future__ import annotations
 
+import functools
+import json
 from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq, HelpSet, eta
@@ -88,17 +90,6 @@ class VerificationReport(NamedTuple):
         return out
 
 
-class _Table(dict):
-    """Values of `lookup`, each computed the first time its key is read."""
-
-    def __init__(self, lookup):
-        self.lookup = lookup
-
-    def __missing__(self, key):
-        value = self[key] = self.lookup(key)
-        return value
-
-
 def _roster_configs(roster) -> list[dict]:
     return [D.config() for D in roster]
 
@@ -160,8 +151,6 @@ def write_transcript(t: RunTranscript) -> str:
 def parse_transcript(text: str) -> RunTranscript:
     """Inverse of `write_transcript`; raises MalformedTranscript at the
     first line that breaks the format."""
-    import json
-
     lines = text.splitlines()
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
@@ -254,8 +243,8 @@ def verify_transcript(
     if A is not None:
         # one help-set lookup per distinct entry, made where a verifier
         # without these tables would first make it
-        member = _Table(A.member).__getitem__
-        label = _Table(lambda z: eta(A, z, fuel)).__getitem__
+        member = functools.cache(A.member)
+        label = functools.cache(lambda z: eta(A, z, fuel))
 
     # the per-line checks append their records inline: a passing check
     # costs one tuple and no call

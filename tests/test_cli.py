@@ -19,7 +19,10 @@ from genco.cli import (
     ConfigError,
     parse_config,
 )
-from genco.serialize import canonical_json
+from genco import EventuallyPeriodicSeq, cohen_from_config, verify_pair, write_pair_transcript
+from genco.cohenpair import PairStage, PairTranscript
+from genco.serialize import canonical_json, roster_hash
+import oracles
 from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
 
 HECHLER_CFG = {
@@ -270,6 +273,16 @@ class TestCommands:
             " (line 1 column 2)\n"
         )
 
+    def test_decode_rejects_bad_g(self, tmp_path):
+        hf = tmp_path / "help.json"
+        hf.write_text('{"kind":"evens"}')
+        code, out, err = run_cli(["decode", "--help-config", str(hf), "--g", "[1,x]"])
+        assert (code, out, err) == (EXIT_CONFIG, "", "config error at g: bad sequence entry 'x' in '[1,x]'\n")
+
+    def test_rank_rejects_bad_node(self):
+        code, out, err = run_cli(["rank", "--dense", '{"type":"stem_length","n":3}', "--node", "7"])
+        assert (code, out, err) == (EXIT_CONFIG, "", "config error at node: not a sequence literal: '7'\n")
+
     def test_rank_rejects_pruning(self):
         code, out, err = run_cli(
             ["rank", "--dense", '{"type":"dominate","table":[],"a":0,"b":1}',
@@ -340,6 +353,47 @@ class TestCommands:
         assert code == EXIT_OK and out.startswith("C1 ") and err == ""
         code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert code == EXIT_OK and out.endswith("PASS\n")
+
+
+class TestPairStageNumbers:
+    """A pair transcript whose STAGE lines are not numbered 0..STAGES-1
+    fails `header.stages`, naming the first misnumbered stage."""
+
+    NAME = "cohen_two_one"
+
+    def _verify(self, tmp_path, renumber):
+        lines = (GOLDEN_DIR / f"{self.NAME}.transcript").read_text().splitlines()
+        stages = [i for i, line in enumerate(lines) if line.startswith("STAGE ")]
+        numbers = renumber(list(range(len(stages))))
+        for i, n in zip(stages, numbers):
+            parts = lines[i].split(" ")
+            lines[i] = " ".join(["STAGE", str(n), *parts[2:]])
+        tf = tmp_path / "t.pair"
+        tf.write_text("\n".join(lines) + "\n")
+        return run_cli(["verify", "--config", str(CONFIG_DIR / f"{self.NAME}.json"), "--transcript", str(tf)])
+
+    def test_honest_numbers_pass(self, tmp_path):
+        code, out, err = self._verify(tmp_path, lambda ns: ns)
+        assert (code, out.splitlines()[-1], err) == (EXIT_OK, "PASS", "")
+
+    @pytest.mark.parametrize("renumber, detail", [
+        (lambda ns: [n + 2 for n in ns], "stage 0 is numbered 2"),
+        (lambda ns: ns[:3] + [ns[4], ns[3]] + ns[5:], "stage 3 is numbered 4"),
+        (lambda ns: ns[:5] + [ns[4]] + ns[6:], "stage 5 is numbered 4"),
+    ], ids=["shift", "swap", "duplicate"])
+    def test_misnumbered_stages_fail(self, tmp_path, renumber, detail):
+        code, out, err = self._verify(tmp_path, renumber)
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert f"FAIL header.stages @- {detail}" in out.splitlines()
+        assert out.splitlines()[-1] == "FAIL"
+
+    def test_count_mismatch_keeps_its_detail(self, tmp_path):
+        cf = CONFIG_DIR / f"{self.NAME}.json"
+        text = (GOLDEN_DIR / f"{self.NAME}.transcript").read_text().replace("STAGES 8", "STAGES 9")
+        tf = tmp_path / "count.pair"
+        tf.write_text(text)
+        code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert code == EXIT_VERIFY and "FAIL header.stages @- stage count mismatch" in out.splitlines()
 
 
 def run_genco(argv: list[str], fuel: str | None = None) -> tuple[int, str, str, float]:
@@ -505,6 +559,40 @@ class TestTooLarge:
         code, out, err, _ = self._cohen(tmp_path, 50, fuel="50")
         assert code == EXIT_OK and err == ""
         assert out == f"C1 {'0' * 50}1\nC2 {'0' * 50}1\n"
+
+    @pytest.mark.parametrize("dense, met", [
+        ({"type": "contains", "w": "11"}, False),
+        ({"type": "contains", "w": "01"}, True),
+        ({"type": "ends_with", "w": "11"}, False),
+        ({"type": "ends_with", "w": "01"}, True),
+        ({"type": "min_len", "n": 2}, False),
+        ({"type": "min_len", "n": 1}, True),
+    ], ids=["contains-unmet", "contains-met", "ends_with-unmet", "ends_with-met", "min_len-unmet", "min_len-met"])
+    def test_long_pair_stage(self, tmp_path, dense, met):
+        # one stage of `bits` zeros and a marker, whose set is met, if at
+        # all, by the whole string only; a min_len bound counts past `bits`
+        def run(bits):
+            D = cohen_from_config(dict(dense, n=bits + dense["n"]) if "n" in dense else dense)
+            x = EventuallyPeriodicSeq((), (0,))
+            p, q = bytes(bits) + b"\x01", bytes(bits + 1)
+            t = PairTranscript(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
+                               (PairStage(0, p, q),), p, q)
+            return D, x, t
+
+        # the scan of the oracle's `contains` is quadratic in each prefix
+        small = 2_000 if dense["type"] == "contains" else 20_000
+        D, x, t = run(small)
+        report = verify_pair([D], [], x, t)
+        assert report.checks == oracles.verify_pair([D], [], x, oracles.pair_as_tuples(t)).checks
+        assert report.ok == met
+
+        D, x, t = run(10**6)
+        cf, tf = tmp_path / "c.json", tmp_path / "t.pair"
+        cf.write_text(json.dumps(dict(COHEN_CFG, dense=[D.config()], dense2=[], target=x.config(), stages=1)))
+        tf.write_text(write_pair_transcript(t))
+        code, out, err, seconds = run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert (code, out, err) == (EXIT_OK if met else EXIT_VERIFY, "\n".join(report.lines()) + "\n", "")
+        assert seconds < 2
 
     def test_decode_large_prime(self, tmp_path):
         hf = tmp_path / "h.json"

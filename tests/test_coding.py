@@ -110,6 +110,14 @@ class TestEnumeration:
                     assert A.member(z) and A.index_of(z) == n
                 prev = z
 
+    def test_primes_index_of_non_prime_raises(self):
+        # small composites, ones with a factor among the Miller-Rabin
+        # bases, a product of two primes near 10**6, and a strong
+        # pseudoprime to the bases 2, 3, 5 and 7
+        for z in (0, 1, 4, 9, 7917, 10**9 + 8, 1000003 * 1000033, 3215031751):
+            with pytest.raises(ValueError, match=f"^{z} is not prime$"):
+                PRIMES.index_of(z)
+
     def test_coinfinite(self):
         for A in builtin_help_sets():
             outside = [z for z in range(100_000) if not A.member(z)]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genco import (
     ContainsSet,
@@ -187,6 +189,35 @@ class TestConfigs:
         assert MinLenSet(2).member(b"\x00\x00")
         assert EndsWithSet("10").member(b"\x00\x01\x00")
         assert not EndsWithSet("10").member(b"\x00\x00\x01")
+
+    @pytest.mark.parametrize("cls, part", [(ContainsSet, "substring"), (EndsWithSet, "suffix")])
+    def test_empty_word_rejected(self, cls, part):
+        for w in ("-", b"", ()):
+            with pytest.raises(ValueError, match=f"^{part} must be nonempty$"):
+                cls(w)
+
+    @pytest.mark.parametrize("D, p, grow, cfg", [
+        (ContainsSet("01"), b"\x00\x01\x01", 0, {"type": "contains", "w": "01"}),
+        (ContainsSet((0, 1)), b"\x01\x01\x00", 2, {"type": "contains", "w": "01"}),
+        (EndsWithSet("10"), b"\x01\x01\x00", 0, {"type": "ends_with", "w": "10"}),
+        (EndsWithSet(b"\x01\x00"), b"\x01\x00\x01", 2, {"type": "ends_with", "w": "10"}),
+    ], ids=["contains-member", "contains-outside", "ends_with-member", "ends_with-outside"])
+    def test_word_sets(self, D, p, grow, cfg):
+        assert D.config() == cfg and D.member(p) == (grow == 0)
+        assert D.growth(p) == grow
+        assert D.extend(p) == (p if grow == 0 else p + D.w)
+        assert D.member(D.extend(p))
+
+
+BITS = st.lists(st.integers(0, 1), max_size=24).map(bytes)
+WORD = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(bytes)
+BUILTIN_SETS = st.one_of(WORD.map(ContainsSet), WORD.map(EndsWithSet), st.integers(0, 30).map(MinLenSet))
+
+
+@settings(max_examples=500)
+@given(BUILTIN_SETS, BITS, st.integers(0, 30))
+def test_met_after_matches_the_prefix_scan(D, p, start):
+    assert D.met_after(p, start) == CohenDense.met_after(D, p, start)
 
 
 def _flip(bits: bytes, m: int) -> bytes:
