@@ -196,8 +196,15 @@ def _cmd_rank(args, out) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {"build": _cmd_build, "plain": _cmd_build, "decode": _cmd_decode,
-             "verify": _cmd_verify, "cohen": _cmd_cohen, "rank": _cmd_rank}
+# each command: its handler, its help line and its required options
+_COMMANDS = {
+    "build": (_cmd_build, "coded build, writes a transcript", ("config", "out")),
+    "plain": (_cmd_build, "meet the roster with nothing coded", ("config", "out")),
+    "decode": (_cmd_decode, "decode a prefix against a help set", ("help-config", "g")),
+    "verify": (_cmd_verify, "re-check a transcript, exit 0 iff all checks pass", ("config", "transcript")),
+    "cohen": (_cmd_cohen, "build a coded pair of binary strings", ("config", "out")),
+    "rank": (_cmd_rank, "bounded reachability rank of a node", ("dense", "node")),
+}
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -206,32 +213,13 @@ def main(argv=None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = argparse.ArgumentParser(prog="genco", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="coded build, writes a transcript")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("plain", help="meet the roster with nothing coded")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("decode", help="decode a prefix against a help set")
-    p.add_argument("--help-config", dest="help_config", required=True)
-    p.add_argument("--g", required=True)
-
-    p = sub.add_parser("verify", help="re-check a transcript, exit 0 iff all checks pass")
-    p.add_argument("--config", required=True)
-    p.add_argument("--transcript", required=True)
-
-    p = sub.add_parser("cohen", help="build a coded pair of binary strings")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("rank", help="bounded reachability rank of a node")
-    p.add_argument("--dense", required=True)
-    p.add_argument("--node", required=True)
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=16)
-    p.add_argument("--width", type=int, default=64)
+    for name, (_, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in options:
+            p.add_argument(f"--{option}", required=True)
+        if name == "rank":
+            p.add_argument("--max-rank", type=int, default=16)
+            p.add_argument("--width", type=int, default=64)
 
     try:
         args = parser.parse_args(argv)
@@ -239,7 +227,7 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command][0](args, out)
     except ConfigError as exc:
         print(str(exc), file=err)
         return EXIT_CONFIG

@@ -18,12 +18,13 @@ and the snapshot chain are C-level bytes operations (`in`, `endswith`,
 A pair transcript holds both end-of-stage snapshots on every STAGE
 line, so its bytes grow quadratically with the stages.  Each snapshot
 is rendered and parsed in full by `render_bits` and `parse_bits`, each
-a few C-level passes over the string.
+a few C-level passes over the string.  Stage numbers are read by
+`parse_nat` and the target by `parse_json`, so each field has one
+spelling, the writer's.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq
@@ -34,6 +35,8 @@ from .serialize import (
     check_keys,
     nat,
     parse_bits,
+    parse_json,
+    parse_nat,
     render_bits,
     roster_hash,
     tagged_line,
@@ -269,14 +272,14 @@ def parse_pair_transcript(text: str) -> PairTranscript:
         raise MalformedTranscript("pair transcript too short")
     try:
         h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
-        target = json.loads(tagged_line(lines, 2, "TARGET"))
-        stages = int(tagged_line(lines, 3, "STAGES"))
+        target = parse_json(tagged_line(lines, 2, "TARGET"))
+        stages = parse_nat(tagged_line(lines, 3, "STAGES"))
         snaps = []
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
                 raise MalformedTranscript(f"bad stage line: {line!r}")
-            snaps.append(PairStage(int(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
+            snaps.append(PairStage(parse_nat(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
         c1 = parse_bits(tagged_line(lines, len(lines) - 2, "C1"))
         c2 = parse_bits(tagged_line(lines, len(lines) - 1, "C2"))
     except ValueError as exc:
@@ -302,7 +305,8 @@ def verify_pair(
         "roster1 hash mismatch")
     add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
         "roster2 hash mismatch")
-    add("header.target", "-", t.target_config == x.config(), "target mismatch")
+    add("header.target", "-", canonical_json(t.target_config) == canonical_json(x.config()),
+        "target mismatch")
     stray = next((f"stage {i} is numbered {s.index}" for i, s in enumerate(t.snapshots) if s.index != i), "")
     add("header.stages", "-", t.stages == len(t.snapshots) and not stray,
         "stage count mismatch" if t.stages != len(t.snapshots) else stray)

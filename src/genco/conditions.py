@@ -15,10 +15,11 @@ All values are immutable and every operation is a pure function.
 
 Conditions are validated when constructed publicly or parsed; internal
 operations trust them.  The boundary is the `HechlerCondition(...)`
-constructor, `contains`, `restrict` and `parse_condition`; everything
-built from a valid condition goes through `HechlerCondition._trusted`
-and the private `_contains` and `_restrict`, which never re-check a
-whole stem.
+constructor, `contains`, `restrict` and `ConditionCodec.parse`, which
+`parse_condition` calls and which accepts only the text that
+`render_condition` writes; everything built from a valid condition goes
+through `HechlerCondition._trusted` and the private `_contains` and
+`_restrict`, which never re-check a whole stem.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .frozen import Frozen
-from .serialize import SeqCodec, parse_seq, render_seq
+from .serialize import SeqCodec, _entries, parse_nat, parse_seq, render_seq
 
 Node = tuple[int, ...]
 
@@ -367,7 +368,7 @@ def render_condition(T: HechlerCondition) -> str:
     ``stem=[a,b];excl{[k]:{z1,z2};...};floor(table=[...],a=A,b=B)`` with
     keys in lexicographic order, steps ascending, ``floor(-)`` if absent.
     """
-    return f"stem={render_seq(T.stem)};{_render_exclusions(T)};{_render_floor(T.floor)}"
+    return ConditionCodec().render(T)
 
 
 def _render_exclusions(T: HechlerCondition) -> str:
@@ -385,29 +386,9 @@ def _render_floor(floor: FloorRule | None) -> str:
 
 
 def parse_condition(text: str) -> HechlerCondition:
-    try:
-        stem_part, rest = text.split(";excl{", 1)
-        excl_part, floor_part = rest.rsplit("};floor(", 1)
-        if not stem_part.startswith("stem=") or not floor_part.endswith(")"):
-            raise ValueError
-        stem = parse_seq(stem_part[len("stem="):])
-        exclusions = {}
-        if excl_part:
-            for entry in excl_part.split(";"):
-                key_text, steps_text = entry.split(":{", 1)
-                if not steps_text.endswith("}"):
-                    raise ValueError
-                steps = tuple(
-                    int(z) for z in steps_text[:-1].split(",") if z
-                )
-                exclusions[parse_seq(key_text)] = steps
-        floor = _parse_floor(floor_part[:-1])
-        if not exclusions:
-            # parse_seq yields only naturals, so a bare stem needs no second pass
-            return HechlerCondition._trusted(stem, (), floor)
-        return HechlerCondition(stem, exclusions, floor)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed condition text: {text!r}") from exc
+    """Inverse of `render_condition`; it accepts only the text that
+    `render_condition` writes."""
+    return ConditionCodec().parse(text)
 
 
 class ConditionCodec:
@@ -415,22 +396,18 @@ class ConditionCodec:
     transcript, in line order.
 
     Stems go through a `SeqCodec`, so a stem that extends the last one
-    costs only its new entries, and floor texts are memoized, the last
-    one tried first.  A text equal to the last one parsed gives the same
-    (immutable) condition again.  A text with exclusion atoms, or one
-    this fast path rejects, goes through the full `parse_condition`, so
-    every result and every error message is its own.  Use one instance
-    per direction and per transcript.
+    costs only its new entries, and floor texts are memoized.  A text
+    equal to the last one parsed gives the same (immutable) condition
+    again.  Parsing accepts only the text `render` writes: atoms and
+    floors must render back to their own text, and every error is
+    ``malformed condition text``.  Use one instance per direction and
+    per transcript.
     """
-
-    _PLAIN = ";excl{};floor("
 
     def __init__(self):
         self._stems = SeqCodec()
         self._floor_texts: dict[FloorRule | None, str] = {}
         self._floors: dict[str, FloorRule | None] = {}
-        self._floor_text: str | None = None  # the last floor parsed, and its rule
-        self._floor: FloorRule | None = None
         self._text: str | None = None  # the last condition parsed, and its value
         self._cond: HechlerCondition | None = None
 
@@ -443,32 +420,43 @@ class ConditionCodec:
     def parse(self, text: str) -> HechlerCondition:
         if text == self._text:
             return self._cond
-        T = None
-        # a valid stem holds no `;` and a valid floor no `}`, so this split
-        # agrees with parse_condition's whenever both parts parse
-        stem_part, plain, floor_part = text.partition(self._PLAIN)
-        if plain and stem_part.startswith("stem=") and floor_part.endswith(")"):
-            try:
-                if floor_part != self._floor_text:
-                    if floor_part not in self._floors:
-                        self._floors[floor_part] = _parse_floor(floor_part[:-1])
-                    self._floor_text, self._floor = floor_part, self._floors[floor_part]
-                stem = self._stems.parse(stem_part[len("stem="):])
-                T = HechlerCondition._trusted(stem, (), self._floor)
-            except ValueError:
-                pass
-        if T is None:
-            T = parse_condition(text)
+        # a valid stem holds no `;` and a valid floor no `}`
+        head, _, floor_part = text.rpartition("};floor(")
+        stem_part, excl, excl_part = head.partition(";excl{")
+        try:
+            if not (excl and stem_part.startswith("stem=")):
+                raise ValueError
+            if floor_part not in self._floors:
+                self._floors[floor_part] = _parse_floor(floor_part)
+            floor = self._floors[floor_part]
+            stem = self._stems.parse(stem_part[len("stem="):])
+            if excl_part:
+                # atoms `[k]:{z1,z2}`; rendering them back checks the braces,
+                # the order and that no key or step repeats
+                atoms = (atom.partition(":{") for atom in excl_part.split(";"))
+                atoms = ((parse_seq(key), _entries(steps[:-1], steps)) for key, _, steps in atoms)
+                T = HechlerCondition(stem, atoms, floor)
+                if _render_exclusions(T) != f"excl{{{excl_part}}}":
+                    raise ValueError
+            else:
+                T = HechlerCondition._trusted(stem, (), floor)
+        except ValueError as exc:
+            raise ValueError(f"malformed condition text: {text!r}") from exc
         self._text, self._cond = text, T
         return T
 
 
-def _parse_floor(body: str) -> FloorRule | None:
-    """The floor rule of the text between ``floor(`` and ``)``."""
-    if body == "-":
+def _parse_floor(text: str) -> FloorRule | None:
+    """The floor rule of the text after ``floor(``, which must be the
+    text `_render_floor` writes for it."""
+    if text == "-)":
         return None
-    table_text, tail = body.split(",a=", 1)
-    if not table_text.startswith("table="):
+    table_text, _, tail = text.partition(",a=")
+    slope_text, _, intercept_text = tail.partition(",b=")
+    # the render check below also rejects a wrong tag or closing character
+    floor = FloorRule(
+        parse_seq(table_text[len("table="):]), parse_nat(slope_text), parse_nat(intercept_text[:-1])
+    )
+    if _render_floor(floor) != "floor(" + text:
         raise ValueError
-    slope_text, intercept_text = tail.split(",b=", 1)
-    return FloorRule(parse_seq(table_text[len("table="):]), int(slope_text), int(intercept_text))
+    return floor

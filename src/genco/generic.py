@@ -13,15 +13,15 @@ A transcript's bytes therefore grow quadratically with the steps.  Each
 condition is rendered and parsed from the one on the line before
 through a `ConditionCodec`, so only new stem entries are converted; the
 repeated part of a line is only compared and copied, and a repeated
-condition is the previous one again.  A line that does not extend the
-previous one, or carries exclusion atoms, is parsed in full as if it
-stood alone.
+condition is the previous one again.  A stem that does not extend the
+previous one is parsed in full as if it stood alone.  The parser accepts
+only the text the writer writes: one spelling per number, header and
+condition, so two different texts never parse to one transcript.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq, HelpSet, eta
@@ -35,7 +35,7 @@ from .conditions import (
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
 from .errors import FuelExhausted, MalformedTranscript
-from .serialize import canonical_json, parse_seq, render_seq, roster_hash, tagged_line
+from .serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash, tagged_line
 
 MEET = "MEET"
 CODE = "CODE"
@@ -136,8 +136,8 @@ def write_transcript(t: RunTranscript) -> str:
     conds = ConditionCodec()
     out = [
         f"ROSTER {t.roster_hash}\n",
-        f"HELP {canonical_json(t.help_config) if t.help_config is not None else 'null'}\n",
-        f"TARGET {canonical_json(t.target_config) if t.target_config is not None else 'null'}\n",
+        f"HELP {canonical_json(t.help_config)}\n",
+        f"TARGET {canonical_json(t.target_config)}\n",
         f"STEPS {t.steps}\n",
     ]
     for e in t.entries:
@@ -159,9 +159,8 @@ def parse_transcript(text: str) -> RunTranscript:
     target_text = tagged_line(lines, 2, "TARGET")
     steps_text = tagged_line(lines, 3, "STEPS")
     try:
-        help_cfg = None if help_text == "null" else json.loads(help_text)
-        target_cfg = None if target_text == "null" else json.loads(target_text)
-        steps = int(steps_text)
+        help_cfg, target_cfg = parse_json(help_text), parse_json(target_text)
+        steps = parse_nat(steps_text)
     except ValueError as exc:
         raise MalformedTranscript(f"bad header: {exc}") from exc
     entries: list[TranscriptEntry] = []
@@ -173,15 +172,10 @@ def parse_transcript(text: str) -> RunTranscript:
         for i, line in enumerate(lines[4:-1], start=5):
             parts = line.split(" ")
             if parts[0] == MEET and len(parts) == 3:
-                entries.append(
-                    TranscriptEntry(MEET, int(parts[1]), conds.parse(parts[2]))
-                )
+                entries.append(TranscriptEntry(MEET, parse_nat(parts[1]), conds.parse(parts[2])))
             elif parts[0] == CODE and len(parts) == 4:
-                entries.append(
-                    TranscriptEntry(
-                        CODE, int(parts[1]), conds.parse(parts[3]), z=int(parts[2])
-                    )
-                )
+                index, cond, z = parse_nat(parts[1]), conds.parse(parts[3]), parse_nat(parts[2])
+                entries.append(TranscriptEntry(CODE, index, cond, z))
             else:
                 raise MalformedTranscript(f"bad step on line {i}")
     except ValueError as exc:
@@ -220,10 +214,10 @@ def verify_transcript(
     add("header.roster", "-", t.roster_hash == expected_hash,
         "hash {} != roster {}", t.roster_hash, expected_hash)
     help_cfg = A.config() if A is not None else None
-    add("header.help", "-", t.help_config == help_cfg,
+    add("header.help", "-", canonical_json(t.help_config) == canonical_json(help_cfg),
         "transcript help {} != {}", t.help_config, help_cfg)
     target_cfg = x.config() if x is not None else None
-    add("header.target", "-", t.target_config == target_cfg,
+    add("header.target", "-", canonical_json(t.target_config) == canonical_json(target_cfg),
         "transcript target {} != {}", t.target_config, target_cfg)
 
     # structure: per step, an optional MEET (when the roster is nonempty)

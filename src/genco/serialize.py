@@ -16,9 +16,9 @@ import sys
 from .errors import ConfigError, MalformedTranscript
 
 
-def canonical_json(obj) -> str:
-    """Serialize with sorted keys and no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# sorted keys and no whitespace; one encoder serves every call, where
+# json.dumps with these options would build one per call
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def roster_hash(configs: list[dict]) -> str:
@@ -59,19 +59,44 @@ def decimal_digits(z: int) -> int:
     return k + (z >= 10**k)
 
 
+def _is_nat(text: str) -> bool:
+    return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
+
+
+def parse_nat(text: str) -> int:
+    """A natural as the writers write it: ASCII digits with no sign, no
+    `_` and no leading zero."""
+    if _is_nat(text):
+        return int(text)
+    raise ValueError(f"bad natural {text!r}")
+
+
+def parse_json(text: str):
+    """A JSON value whose text is its own `canonical_json`."""
+    value = json.loads(text)
+    if canonical_json(value) != text:
+        raise ValueError(f"not canonical JSON: {text!r}")
+    return value
+
+
+def _entries(body: str, text: str) -> tuple[int, ...]:
+    """The naturals of `body`, comma-separated entries of the sequence
+    literal `text`, each spelled as `parse_nat` requires."""
+    parts = body.split(",")
+    # every entry that starts with 0 must be 0; counted without str(int),
+    # which is quadratic in the digits
+    if (body.isascii() and "" not in parts and "".join(parts).isdigit()
+            and body.count(",0") + body.startswith("0") == parts.count("0")):
+        return tuple(map(int, parts))
+    bad = next(part for part in parts if not _is_nat(part))
+    raise ValueError(f"bad sequence entry {bad!r} in {text!r}")
+
+
 def parse_seq(text: str) -> tuple[int, ...]:
-    """Parse ``[a,b,c]``; every entry is a nonempty run of digits, so the
-    result holds only naturals."""
+    """Parse ``[a,b,c]``, the text `render_seq` writes, and nothing else."""
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"not a sequence literal: {text!r}")
-    body = text[1:-1]
-    if not body:
-        return ()
-    parts = body.split(",")
-    if "" in parts or not "".join(parts).isdigit():
-        bad = next(part for part in parts if not part.isdigit())
-        raise ValueError(f"bad sequence entry {bad!r} in {text!r}")
-    return tuple(map(int, parts))
+    return _entries(text[1:-1], text) if len(text) > 2 else ()
 
 
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -105,10 +130,10 @@ class SeqCodec:
     one renders as the head plus its new entries.  A text that starts
     with the head and goes on at an entry boundary (`,` or the closing
     bracket) parses as the last sequence plus its new entries, read in
-    place by `parse_seq`'s rules.  Anything else goes through the full
-    `render_seq` or `parse_seq`, so every result and every error message
-    is theirs.  Use one instance per direction and per sequence of a
-    transcript, in line order.
+    place by `parse_seq`'s entry reader.  Anything else goes through the
+    full `render_seq` or `parse_seq`, so every result and every error
+    message is theirs.  Use one instance per direction and per sequence
+    of a transcript, in line order.
     """
 
     def __init__(self):
@@ -132,17 +157,11 @@ class SeqCodec:
     def parse(self, text: str) -> tuple[int, ...]:
         if text == self._text:
             return self._seq
-        xs = None
         head = self._head
         n = len(head)
         if head and text.startswith(head) and text.startswith(",", n) and text.endswith("]"):
-            parts = text[n + 1 : -1].split(",")
-            if "" not in parts and "".join(parts).isdigit():
-                try:
-                    xs = self._seq + tuple(map(int, parts))
-                except ValueError:
-                    pass
-        if xs is None:
+            xs = self._seq + _entries(text[n + 1 : -1], text)
+        else:
             xs = parse_seq(text)
         self._keep(xs, text)
         return xs

@@ -8,7 +8,9 @@ check that the oracle never finds such a node where `extends` says YES.
 `parse_pair_transcript` are the transcript codec before incremental
 rendering and parsing: every line is rendered and parsed in full.  The
 library's codec must agree with them byte for byte, value for value and
-error message for error message.
+error message for error message.  They read each field through the
+library's `parse_nat`, `parse_json`, `parse_seq` and `parse_condition`,
+so both sides share one spelling rule per field.
 
 `render_bits`, `parse_bits`, `decode_pair` and `verify_pair` are the
 pair code from when a bit string was a tuple of ints; `cohen_member`
@@ -68,7 +70,7 @@ from genco.generic import (
     VerificationReport,
     _roster_configs,
 )
-from genco.serialize import canonical_json, parse_seq, render_seq, roster_hash
+from genco.serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash
 
 
 def extends_bounded(
@@ -228,10 +230,10 @@ def verify_transcript(
     add("header.roster", "-", t.roster_hash == expected_hash,
         f"hash {t.roster_hash} != roster {expected_hash}")
     help_cfg = A.config() if A is not None else None
-    add("header.help", "-", t.help_config == help_cfg,
+    add("header.help", "-", canonical_json(t.help_config) == canonical_json(help_cfg),
         f"transcript help {t.help_config} != {help_cfg}")
     target_cfg = x.config() if x is not None else None
-    add("header.target", "-", t.target_config == target_cfg,
+    add("header.target", "-", canonical_json(t.target_config) == canonical_json(target_cfg),
         f"transcript target {t.target_config} != {target_cfg}")
 
     # structure: per step, an optional MEET (when the roster is nonempty)
@@ -300,8 +302,6 @@ def write_transcript(t: RunTranscript) -> str:
 
 
 def parse_transcript(text: str) -> RunTranscript:
-    import json
-
     lines = text.splitlines()
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
@@ -316,9 +316,9 @@ def parse_transcript(text: str) -> RunTranscript:
     target_text = header(2, "TARGET")
     steps_text = header(3, "STEPS")
     try:
-        help_cfg = None if help_text == "null" else json.loads(help_text)
-        target_cfg = None if target_text == "null" else json.loads(target_text)
-        steps = int(steps_text)
+        help_cfg = parse_json(help_text)
+        target_cfg = parse_json(target_text)
+        steps = parse_nat(steps_text)
     except ValueError as exc:
         raise MalformedTranscript(f"bad header: {exc}") from exc
     entries: list[TranscriptEntry] = []
@@ -330,12 +330,12 @@ def parse_transcript(text: str) -> RunTranscript:
             parts = line.split(" ")
             if parts[0] == MEET and len(parts) == 3:
                 entries.append(
-                    TranscriptEntry(MEET, int(parts[1]), parse_condition(parts[2]))
+                    TranscriptEntry(MEET, parse_nat(parts[1]), parse_condition(parts[2]))
                 )
             elif parts[0] == CODE and len(parts) == 4:
                 entries.append(
                     TranscriptEntry(
-                        CODE, int(parts[1]), parse_condition(parts[3]), z=int(parts[2])
+                        CODE, parse_nat(parts[1]), parse_condition(parts[3]), z=parse_nat(parts[2])
                     )
                 )
             else:
@@ -360,8 +360,6 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:
-    import json
-
     lines = text.splitlines()
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
@@ -373,14 +371,14 @@ def parse_pair_transcript(text: str) -> PairTranscript:
 
     try:
         h1, h2 = header(0, "ROSTER1"), header(1, "ROSTER2")
-        target = json.loads(header(2, "TARGET"))
-        stages = int(header(3, "STAGES"))
+        target = parse_json(header(2, "TARGET"))
+        stages = parse_nat(header(3, "STAGES"))
         snaps = []
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
                 raise MalformedTranscript(f"bad stage line: {line!r}")
-            snaps.append(PairStage(int(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
+            snaps.append(PairStage(parse_nat(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
         c1 = parse_bits(header(len(lines) - 2, "C1"))
         c2 = parse_bits(header(len(lines) - 1, "C2"))
     except ValueError as exc:
@@ -453,7 +451,8 @@ def verify_pair(roster1, roster2, x, t: PairTranscript) -> VerificationReport:
         "roster1 hash mismatch")
     add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
         "roster2 hash mismatch")
-    add("header.target", "-", t.target_config == x.config(), "target mismatch")
+    add("header.target", "-", canonical_json(t.target_config) == canonical_json(x.config()),
+        "target mismatch")
     add("header.stages", "-", t.stages == len(t.snapshots), "stage count mismatch")
 
     met1 = [False] * len(roster1)

@@ -396,6 +396,67 @@ class TestPairStageNumbers:
         assert code == EXIT_VERIFY and "FAIL header.stages @- stage count mismatch" in out.splitlines()
 
 
+class TestOneSpelling:
+    """Each transcript field reads only the writer's spelling: an edit that
+    keeps the value but changes the text fails with exit 1."""
+
+    @pytest.mark.parametrize("name, old, new, detail", [
+        ("cohen_two_one", "\nSTAGES 8\n", "\nSTAGES \uff18\n", "bad natural '\uff18'"),
+        ("cohen_two_one", "\nSTAGE 1 ", "\nSTAGE +1 ", "bad natural '+1'"),
+        ("cohen_two_one", "\nSTAGE 2 ", "\nSTAGE 0_2 ", "bad natural '0_2'"),
+        ("build_evens_roster4", "\nSTEPS 8\n", "\nSTEPS +8\n", "bad header: bad natural '+8'"),
+        ("build_evens_roster4", "\nMEET 0 ", "\nMEET 0_0 ", "bad step line: bad natural '0_0'"),
+        ("build_evens_roster4", "\nMEET 0 ", "\nMEET 00 ", "bad step line: bad natural '00'"),
+        ("build_evens_roster4", "stem=[1,1];", "stem=[01,1];",
+         "bad step line: malformed condition text: 'stem=[01,1];excl{};floor(-)'"),
+        ("build_evens_roster4", 'HELP {"kind":"evens"}', 'HELP {"kind": "evens"}',
+         """bad header: not canonical JSON: '{"kind": "evens"}'"""),
+    ], ids=["stages-fullwidth", "stage-sign", "stage-underscore", "steps-sign",
+            "meet-underscore", "meet-leading-zero", "stem-leading-zero", "help-spaces"])
+    def test_respelled_field_fails(self, tmp_path, name, old, new, detail):
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text(encoding="utf-8")
+        assert old in text
+        tf = tmp_path / "t.transcript"
+        tf.write_text(text.replace(old, new, 1), encoding="utf-8")
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        assert (code, out, err) == (EXIT_VERIFY, f"FAIL transcript @- {detail}\nFAIL\n", "")
+
+    def test_target_is_compared_as_canonical_text(self, tmp_path):
+        # 3.0 == 3 and False == 0 in Python, but not in the transcript text
+        name = "build_evens_roster4"
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+        old = 'TARGET {"cycle":[3,0],'
+        assert old in text
+        tf = tmp_path / "t.transcript"
+        tf.write_text(text.replace(old, 'TARGET {"cycle":[3.0,false],'))
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert out.splitlines()[2].startswith("FAIL header.target @- ")
+        assert out.splitlines()[-1] == "FAIL"
+
+    def test_pair_target_is_compared_as_canonical_text(self, tmp_path):
+        name = "cohen_two_one"
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+        old = 'TARGET {"cycle":[1,1,0],'
+        assert old in text
+        tf = tmp_path / "t.pair"
+        tf.write_text(text.replace(old, 'TARGET {"cycle":[true,1,0],'))
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert "FAIL header.target @- target mismatch" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["decode", "--help-config", "HELP", "--g", "[01]"], "g"),
+        (["rank", "--dense", '{"type":"stem_length","n":3}', "--node", "[01]"], "node"),
+    ], ids=["decode", "rank"])
+    def test_leading_zero_argument_rejected(self, tmp_path, argv, field):
+        hf = tmp_path / "help.json"
+        hf.write_text('{"kind":"evens"}')
+        argv = [str(hf) if a == "HELP" else a for a in argv]
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error at {field}: bad sequence entry '01' in '[01]'\n")
+
+
 def run_genco(argv: list[str], fuel: str | None = None) -> tuple[int, str, str, float]:
     """Run the genco command in a fresh process: exit code, stdout,
     stderr and wall seconds."""

@@ -18,8 +18,10 @@ from genco import (
     DominateSet,
     FloorRule,
     HechlerCondition,
+    MalformedTranscript,
     build_coded_generic,
     build_pair,
+    parse_condition,
     parse_pair_transcript,
     parse_transcript,
     write_pair_transcript,
@@ -169,6 +171,45 @@ def test_line_damage_parses_like_oracle(kind, pair):
         assert accepted > 0
 
 
+@pytest.mark.parametrize("kind", DAMAGE)
+def test_damaged_goldens_that_parse_write_back_unchanged(kind):
+    # one spelling per field: every text the parser accepts is the text
+    # the writer writes for the value it parses to
+    parsed, differ = 0, []
+    for path in GOLDENS:
+        pair = path.stem.startswith("cohen")
+        parse, write = (parse_pair_transcript, write_pair_transcript) if pair else (parse_transcript, write_transcript)
+        golden = path.read_text()
+        for seed in range(300):
+            text = damage(random.Random(seed), golden, kind, pair)
+            try:
+                t = parse(text)
+            except MalformedTranscript:
+                continue
+            parsed += 1
+            if write(t) != text:
+                differ.append((path.stem, seed))
+    assert parsed > 0
+    assert differ == []
+
+
+def test_atom_line_between_plain_lines_parses_line_for_line():
+    # the line with atoms reads its stem through the codec's SeqCodec, and
+    # the plain line after it extends that stem
+    floor = FloorRule((4,), 1, 2)
+    conds = (
+        HechlerCondition((3, 5), (), floor),
+        HechlerCondition((3, 5, 8), {(3, 5, 8, 9): (1, 4), (3, 5, 8, 10): (0,)}, floor),
+        HechlerCondition((3, 5, 8, 11), (), floor),
+    )
+    entries = tuple(TranscriptEntry(MEET, i, T) for i, T in enumerate(conds))
+    text = write_transcript(RunTranscript("ab", None, None, 3, entries, conds[-1].stem))
+    lines = text.splitlines()[4:-1]
+    assert "excl{[3,5,8,9]:{1,4};[3,5,8,10]:{0}}" in lines[1]
+    got = [e.condition for e in parse_transcript(text).entries]
+    assert got == [parse_condition(line.split(" ")[2]) for line in lines] == list(conds)
+
+
 def test_writer_matches_oracle_on_random_rosters():
     rng = random.Random(59)
     for _ in range(40):
@@ -248,10 +289,15 @@ def test_short_runs_parse_like_oracle():
         assert_same_parse("\n".join(lines[:n]), pair=True)
 
 
-def test_make_goldens_check_names_each_difference(tmp_path, monkeypatch, capsys):
+def load_make_goldens():
     spec = importlib.util.spec_from_file_location("make_goldens", REPO / "tools" / "make_goldens.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_make_goldens_check_names_each_difference(tmp_path, monkeypatch, capsys):
+    tool = load_make_goldens()
     assert tool.main(["--check"]) == 0
     for path in GOLDENS:
         (tmp_path / path.name).write_bytes(path.read_bytes())
@@ -264,3 +310,17 @@ def test_make_goldens_check_names_each_difference(tmp_path, monkeypatch, capsys)
         f"differs: {GOLDENS[0].name}", f"differs: {GOLDENS[-1].name}", ""
     ]
     assert not (tmp_path / GOLDENS[-1].name).exists()
+
+
+def test_make_goldens_check_names_each_golden_that_does_not_round_trip(monkeypatch, capsys):
+    # a coded parser that loses the step count and a pair parser that
+    # rejects everything: every golden is named, and nothing raises
+    def reject(text):
+        raise MalformedTranscript("rejected")
+
+    tool = load_make_goldens()
+    monkeypatch.setattr(tool, "parse_transcript", lambda text: parse_transcript(text)._replace(steps=0))
+    monkeypatch.setattr(tool, "parse_pair_transcript", reject)
+    capsys.readouterr()
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out.split("\n") == [f"does not round-trip: {p.name}" for p in GOLDENS] + [""]

@@ -513,3 +513,22 @@ class TestRendering:
         for bad in ("", "stem=[1]", "stem=[1];excl{};floor()", "stem=[x];excl{};floor(-)"):
             with pytest.raises(ValueError):
                 parse_condition(bad)
+        # texts that render_condition never writes: each must render back
+        # to itself, so none parses
+        for bad in (
+            "stem=[01];excl{};floor(-)",
+            "stem=[1];excl{[1,2]:{3,1}};floor(-)",  # steps out of order
+            "stem=[1];excl{[1,2]:{3,3}};floor(-)",  # a repeated step
+            "stem=[1];excl{[1,2]:{3};[1,2]:{5}};floor(-)",  # a repeated key
+            "stem=[1];excl{[1,3]:{3};[1,2]:{5}};floor(-)",  # keys out of order
+            "stem=[1];excl{[1,2]:{}};floor(-)",
+            "stem=[1];excl{[1,2]:{03}};floor(-)",
+            "stem=[1];excl{[1,2]:{3}x};floor(-)",
+            "stem=[1];excl{};floor(table=[5,3],a=1,b=2)",  # untrimmed: f(1) = 3
+            "stem=[1];excl{};floor(table=[],a=01,b=2)",
+            "stem=[1];excl{};floor(table=[],a=1,b=+2)",
+            "stem=[1];excl{};floor(table=[],a=1,b=2))",
+            "stem=[1];excl{};floor(-))",
+        ):
+            with pytest.raises(ValueError, match="^malformed condition text"):
+                parse_condition(bad)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import oracles
@@ -9,8 +11,11 @@ from genco.cohenpair import parse_pair_transcript
 from genco.errors import MalformedTranscript
 from genco.serialize import (
     SeqCodec,
+    canonical_json,
     decimal_digits,
     parse_bits,
+    parse_json,
+    parse_nat,
     parse_seq,
     printable,
     render_bits,
@@ -23,6 +28,49 @@ from genco.serialize import (
 def test_parse_seq_rejects(text):
     with pytest.raises(ValueError):
         parse_seq(text)
+
+
+@pytest.mark.parametrize("text", ["", "00", "01", "+1", "-1", "1_0", " 1", "1 ", "\uff18", "\u0663", "\u00b2", "1.0"])
+def test_parse_nat_rejects(text):
+    with pytest.raises(ValueError, match="^bad natural "):
+        parse_nat(text)
+
+
+def test_parse_nat_reads_what_str_writes():
+    for n in (0, 1, 9, 10, 100, 12345678901234567890):
+        assert parse_nat(str(n)) == n
+
+
+@pytest.mark.parametrize("text", ['{"a": 1}', '{"b":1,"a":2}', "3.00", "1e3", '"\\u0061"', "[1, 2]", " null"])
+def test_parse_json_rejects_non_canonical_text(text):
+    with pytest.raises(ValueError):
+        parse_json(text)
+
+
+def test_parse_json_reads_canonical_text():
+    for value in (None, 3, 3.0, False, [1, True], {"a": [1, 0], "b": {"c": "d"}}):
+        text = canonical_json(value)
+        assert parse_json(text) == value and canonical_json(parse_json(text)) == text
+
+
+def test_parse_seq_accepts_exactly_what_render_seq_writes():
+    # every text of up to 6 characters over the sequence alphabet, alone
+    # and after a sequence it may extend
+    accepted = 0
+    for n in range(7):
+        for chars in itertools.product("0,1[]", repeat=n):
+            text = "".join(chars)
+            got = _outcome(parse_seq, text)
+            if isinstance(got, tuple):
+                assert render_seq(got) == text
+                accepted += 1
+            codec = SeqCodec()
+            codec.parse("[1,0]")
+            assert _outcome(codec.parse, text) == got
+    # and it accepts every such rendering: entries of the digits 0 and 1
+    nats = [0] + [int(bin(k)[2:]) for k in range(1, 32)]
+    written = {render_seq(xs) for m in range(4) for xs in itertools.product(nats, repeat=m)}
+    assert accepted == sum(len(text) <= 6 for text in written)
 
 
 def test_decimal_digits_and_the_str_limit():

@@ -234,7 +234,8 @@ def test_step_counts_verify_like_oracle():
                   write_transcript(build_coded_generic([], Evens(), EventuallyPeriodicSeq((), (1,)), 4))))
     passed = 0
     for roster, A, x, text in cases:
+        t = parse_transcript(text)
         for steps in range(-2, 12):
-            forged = text.replace("\nSTEPS 4\n", f"\nSTEPS {steps}\n")
-            passed += assert_same_verify(roster, A, x, parse_transcript(forged))
+            # a negative count has no text form, so it is set on the value
+            passed += assert_same_verify(roster, A, x, t._replace(steps=steps))
     assert passed >= len(cases)

@@ -7,8 +7,10 @@ change, then review the diff:
 
 With `--check` nothing under tests/goldens is written: every golden is
 rebuilt through the CLI into a temporary directory and compared byte for
-byte with its file, each one that differs is named, and the exit code is
-1 if any differs.  It is the quick guard for codec changes:
+byte with its file, and each golden that is equal is also parsed through
+the library and written back.  Each golden that differs or does not come
+back as its own text is named, and the exit code is 1 if any is.  It is
+the quick guard for codec changes:
 
     python3 tools/make_goldens.py --check
 """
@@ -24,15 +26,34 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from corpus import GOLDEN_DIR, build_transcript, corpus_paths  # noqa: E402
+from corpus import GOLDEN_DIR, build_transcript, command_for, corpus_paths  # noqa: E402
+from genco import (  # noqa: E402
+    MalformedTranscript,
+    parse_pair_transcript,
+    parse_transcript,
+    write_pair_transcript,
+    write_transcript,
+)
+
+
+def round_trips(path: Path, text: str) -> bool:
+    """Whether the library parses `text`, the golden of the config at
+    `path`, and writes it back unchanged."""
+    pair = command_for(path) == "cohen"
+    parse, write = (parse_pair_transcript, write_pair_transcript) if pair else (parse_transcript, write_transcript)
+    try:
+        return write(parse(text)) == text
+    except MalformedTranscript:
+        return False
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="write nothing to tests/goldens; exit 1 and name each golden that differs")
+                    help="write nothing to tests/goldens; exit 1 and name each golden that differs"
+                         " or does not round-trip")
     args = ap.parse_args(argv)
-    differ = []
+    differ, broken = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for path in corpus_paths():
             golden = GOLDEN_DIR / (path.stem + ".transcript")
@@ -46,9 +67,13 @@ def main(argv=None) -> int:
                 print(f"wrote {golden.relative_to(REPO)}")
             elif not golden.is_file() or golden.read_bytes() != out.read_bytes():
                 differ.append(golden)
+            elif not round_trips(path, golden.read_bytes().decode("utf-8")):
+                broken.append(golden)
     for golden in differ:
         print(f"differs: {golden.name}")
-    return 1 if differ else 0
+    for golden in broken:
+        print(f"does not round-trip: {golden.name}")
+    return 1 if differ or broken else 0
 
 
 if __name__ == "__main__":
