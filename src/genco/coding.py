@@ -249,11 +249,9 @@ class ExplicitPeriodic(HelpSet):
     naturals; the cycle must contain a 1 (infinite) and a 0 (co-infinite)."""
 
     def __init__(self, prefix, cycle):
-        self.prefix = tuple(int(b) for b in prefix)
-        self.cycle = tuple(int(b) for b in cycle)
-        if not self.cycle:
-            raise ValueError("cycle must be nonempty")
-        if any(b not in (0, 1) for b in self.prefix + self.cycle):
+        self.pattern = EventuallyPeriodicSeq(prefix, cycle)
+        self.prefix, self.cycle = self.pattern.prefix, self.pattern.cycle
+        if any(b > 1 for b in self.prefix + self.cycle):
             raise ValueError("membership pattern must be 0/1 valued")
         if 1 not in self.cycle:
             raise ValueError("pattern describes a finite set")
@@ -263,11 +261,7 @@ class ExplicitPeriodic(HelpSet):
         self._cycle_ones = [i for i, b in enumerate(self.cycle) if b]
 
     def member(self, z: int) -> bool:
-        if z < 0:
-            return False
-        if z < len(self.prefix):
-            return self.prefix[z] == 1
-        return self.cycle[(z - len(self.prefix)) % len(self.cycle)] == 1
+        return z >= 0 and self.pattern.value(z) == 1
 
     def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
         if n < len(self._prefix_ones):

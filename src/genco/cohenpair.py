@@ -40,6 +40,7 @@ from .serialize import (
     render_bits,
     roster_hash,
     tagged_line,
+    transcript_lines,
 )
 
 Bits = bytes  # 0/1 values
@@ -267,7 +268,7 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 def parse_pair_transcript(text: str) -> PairTranscript:
     """Inverse of `write_pair_transcript`; raises MalformedTranscript."""
-    lines = text.splitlines()
+    lines = transcript_lines(text)
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
     try:

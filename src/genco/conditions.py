@@ -68,9 +68,10 @@ class FloorRule(Frozen):
         table = tuple(int(x) for x in table)
         if any(x < 0 for x in table) or slope < 0 or intercept < 0:
             raise ValueError("floor rule parameters must be naturals")
-        while table and table[-1] == slope * (len(table) - 1) + intercept:
-            table = table[:-1]
-        self._set(table, int(slope), int(intercept))
+        cut = len(table)
+        while cut and table[cut - 1] == slope * (cut - 1) + intercept:
+            cut -= 1
+        self._set(table[:cut], int(slope), int(intercept))
 
     def value(self, n: int) -> int:
         if n < len(self.table):
@@ -78,9 +79,12 @@ class FloorRule(Frozen):
         return self.slope * n + self.intercept
 
 
-def floor_max(f: FloorRule, g: FloorRule) -> FloorRule:
-    """Pointwise maximum of two floor rules, again table + affine."""
-    if f == g:
+def floor_max(f: FloorRule | None, g: FloorRule | None) -> FloorRule | None:
+    """Pointwise maximum of two floor rules, again table + affine; None,
+    no bound, is the identity."""
+    if f is None:
+        return g
+    if g is None or f == g:
         return f
     base = max(len(f.table), len(g.table))
     if f.slope == g.slope:
@@ -262,13 +266,7 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
         for key, steps in side.exclusions:
             if is_prefix(stem, key):
                 merged.setdefault(key, set()).update(steps)
-    if T1.floor is None:
-        floor = T2.floor
-    elif T2.floor is None:
-        floor = T1.floor
-    else:
-        floor = floor_max(T1.floor, T2.floor)
-    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor)
+    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor_max(T1.floor, T2.floor))
 
 
 def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:

@@ -77,54 +77,6 @@ class PruningDenseSet(DenseSet):
         raise NotImplementedError
 
 
-class StemLengthSet(StemBasedDenseSet):
-    """Conditions whose stem has at least n entries."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("length bound must be a natural")
-        self.n = n
-
-    def member_witness(self, s: Node) -> HechlerCondition | None:
-        return HechlerCondition._trusted(s, (), None) if len(s) >= self.n else None
-
-    def good_successors(self, s: Node):
-        return itertools.count(0)
-
-    def node_class(self, s: Node):
-        return min(len(s), self.n)
-
-    def member(self, T: HechlerCondition) -> bool:
-        return len(T.stem) >= self.n
-
-    def config(self) -> dict:
-        return {"type": "stem_length", "n": self.n}
-
-
-class StemHitsSet(StemBasedDenseSet):
-    """Conditions whose stem contains an entry >= k."""
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise ValueError("threshold must be a natural")
-        self.k = k
-
-    def member_witness(self, s: Node) -> HechlerCondition | None:
-        return HechlerCondition._trusted(s, (), None) if any(e >= self.k for e in s) else None
-
-    def good_successors(self, s: Node):
-        return itertools.count(self.k)
-
-    def node_class(self, s: Node):
-        return any(e >= self.k for e in s)
-
-    def member(self, T: HechlerCondition) -> bool:
-        return any(e >= self.k for e in T.stem)
-
-    def config(self) -> dict:
-        return {"type": "stem_hits", "k": self.k}
-
-
 def _hit_count(count: int) -> int:
     if count < 1:
         raise ValueError("must be at least 1")
@@ -204,6 +156,41 @@ class UserStemsSet(StemBasedDenseSet):
         return {"type": "user_stems", "patterns": [p.config() for p in self.patterns]}
 
 
+class StemLengthSet(UserStemsSet):
+    """Conditions whose stem has at least n entries: the one pattern
+    `min_len=n`."""
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("length bound must be a natural")
+        self.n = n
+        # built unchecked: StemPattern refuses n = 0, the pattern every stem meets
+        pattern = object.__new__(StemPattern)
+        pattern._set(n, ())
+        super().__init__((pattern,))
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, not StemPattern
+        return StemLengthSet, (self.n,)
+
+    def config(self) -> dict:
+        return {"type": "stem_length", "n": self.n}
+
+
+class StemHitsSet(UserStemsSet):
+    """Conditions whose stem contains an entry >= k: the one pattern
+    `hits=((k, 1),)`."""
+
+    def __init__(self, k: int):
+        if k < 0:
+            raise ValueError("threshold must be a natural")
+        self.k = k
+        super().__init__((StemPattern(0, ((k, 1),)),))
+
+    def config(self) -> dict:
+        return {"type": "stem_hits", "k": self.k}
+
+
 class DominateSet(PruningDenseSet):
     """Conditions all of whose first steps above the stem clear a floor
     rule; met by raising the floor, which leaves the stem untouched."""
@@ -212,8 +199,7 @@ class DominateSet(PruningDenseSet):
         self.floor = floor
 
     def refine(self, T: HechlerCondition) -> HechlerCondition:
-        merged = self.floor if T.floor is None else floor_max(T.floor, self.floor)
-        return HechlerCondition._trusted(T.stem, T.exclusions, merged)
+        return HechlerCondition._trusted(T.stem, T.exclusions, floor_max(T.floor, self.floor))
 
     def member(self, T: HechlerCondition) -> bool:
         return floor_gap_witness(T, self.floor) is None

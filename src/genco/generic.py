@@ -35,7 +35,8 @@ from .conditions import (
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
 from .errors import FuelExhausted, MalformedTranscript
-from .serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash, tagged_line
+from .serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash
+from .serialize import tagged_line, transcript_lines
 
 MEET = "MEET"
 CODE = "CODE"
@@ -151,7 +152,7 @@ def write_transcript(t: RunTranscript) -> str:
 def parse_transcript(text: str) -> RunTranscript:
     """Inverse of `write_transcript`; raises MalformedTranscript at the
     first line that breaks the format."""
-    lines = text.splitlines()
+    lines = transcript_lines(text)
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
     rhash = tagged_line(lines, 0, "ROSTER")

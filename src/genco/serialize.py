@@ -171,6 +171,15 @@ class SeqCodec:
         self._head = text[:-1] if xs else ""
 
 
+def transcript_lines(text: str) -> list[str]:
+    """The lines of a transcript: `text` split at each `\\n`, the one
+    line end the writers write, which must also end the text."""
+    lines = text.split("\n")
+    if lines.pop():
+        raise MalformedTranscript("transcript does not end with a newline")
+    return lines
+
+
 def tagged_line(lines: list[str], idx: int, tag: str) -> str:
     """The text after `tag` and one space on line `idx` of a transcript."""
     if not lines[idx].startswith(tag + " "):

@@ -8,9 +8,10 @@ check that the oracle never finds such a node where `extends` says YES.
 `parse_pair_transcript` are the transcript codec before incremental
 rendering and parsing: every line is rendered and parsed in full.  The
 library's codec must agree with them byte for byte, value for value and
-error message for error message.  They read each field through the
-library's `parse_nat`, `parse_json`, `parse_seq` and `parse_condition`,
-so both sides share one spelling rule per field.
+error message for error message.  They split lines with the library's
+`transcript_lines` and read each field through its `parse_nat`,
+`parse_json`, `parse_seq` and `parse_condition`, so both sides share one
+spelling rule per field and one line end.
 
 `render_bits`, `parse_bits`, `decode_pair` and `verify_pair` are the
 pair code from when a bit string was a tuple of ints; `cohen_member`
@@ -37,11 +38,20 @@ the same answers.
 `stem_deficits` is `StemPattern.deficits` before its hit counts were
 capped: it counts every entry of the stem that clears each threshold.
 The library must give the same deficit tuples.
+
+`StemLengthOracle` and `StemHitsOracle` are `StemLengthSet` and
+`StemHitsSet` from before they became one-pattern `UserStemsSet`s, with
+their own predicates `len(s) >= n` and `any(e >= k for e in s)`;
+`explicit_member` is `ExplicitPeriodic.member` from before it read its
+pattern through `EventuallyPeriodicSeq`.  The library must give the same
+members, witnesses, successors and ranks, and a node partition that
+`node_class` draws the same way.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 
 from genco.coding import SelfCode, decode, decode_prefix_code, eta
 from genco.cohenpair import PairStage, PairTranscript
@@ -59,7 +69,7 @@ from genco.conditions import (
     parse_condition,
     render_condition,
 )
-from genco.densesets import DEFAULT_FUEL, StemPattern
+from genco.densesets import DEFAULT_FUEL, StemBasedDenseSet, StemPattern
 from genco.errors import MalformedCodeElement, MalformedTranscript
 from genco.generic import (
     CODE,
@@ -70,7 +80,15 @@ from genco.generic import (
     VerificationReport,
     _roster_configs,
 )
-from genco.serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash
+from genco.serialize import (
+    canonical_json,
+    parse_json,
+    parse_nat,
+    parse_seq,
+    render_seq,
+    roster_hash,
+    transcript_lines,
+)
 
 
 def extends_bounded(
@@ -302,7 +320,7 @@ def write_transcript(t: RunTranscript) -> str:
 
 
 def parse_transcript(text: str) -> RunTranscript:
-    lines = text.splitlines()
+    lines = transcript_lines(text)
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
 
@@ -360,7 +378,7 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:
-    lines = text.splitlines()
+    lines = transcript_lines(text)
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
 
@@ -570,3 +588,50 @@ def stem_deficits(pattern: StemPattern, s: Node) -> tuple[int, ...]:
         max(0, need - sum(1 for e in s if e >= k)) for k, need in pattern.hits
     )
     return (length,) + counted
+
+
+class StemLengthOracle(StemBasedDenseSet):
+    """Conditions whose stem has at least n entries."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def member_witness(self, s: Node) -> HechlerCondition | None:
+        return HechlerCondition._trusted(s, (), None) if len(s) >= self.n else None
+
+    def good_successors(self, s: Node):
+        return itertools.count(0)
+
+    def node_class(self, s: Node):
+        return min(len(s), self.n)
+
+    def member(self, T: HechlerCondition) -> bool:
+        return len(T.stem) >= self.n
+
+
+class StemHitsOracle(StemBasedDenseSet):
+    """Conditions whose stem contains an entry >= k."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def member_witness(self, s: Node) -> HechlerCondition | None:
+        return HechlerCondition._trusted(s, (), None) if any(e >= self.k for e in s) else None
+
+    def good_successors(self, s: Node):
+        return itertools.count(self.k)
+
+    def node_class(self, s: Node):
+        return any(e >= self.k for e in s)
+
+    def member(self, T: HechlerCondition) -> bool:
+        return any(e >= self.k for e in T.stem)
+
+
+def explicit_member(prefix: tuple[int, ...], cycle: tuple[int, ...], z: int) -> bool:
+    """Whether the 0/1 pattern `prefix`, then `cycle` repeated, is 1 at z."""
+    if z < 0:
+        return False
+    if z < len(prefix):
+        return prefix[z] == 1
+    return cycle[(z - len(prefix)) % len(cycle)] == 1

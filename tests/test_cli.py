@@ -421,6 +421,28 @@ class TestOneSpelling:
         code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
         assert (code, out, err) == (EXIT_VERIFY, f"FAIL transcript @- {detail}\nFAIL\n", "")
 
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("build_evens_roster4", lambda t: t.replace("\nHELP ", "\x85HELP "), "expected HELP on line 2"),
+        ("build_evens_roster4", lambda t: t.replace("\nG ", "\x0cG "), "missing footer"),
+        ("build_evens_roster4", lambda t: t[:-1], "transcript does not end with a newline"),
+        ("cohen_two_one", lambda t: t.replace("\nROSTER2 ", "\x85ROSTER2 "), "expected ROSTER2 on line 2"),
+        ("cohen_two_one", lambda t: t.replace("\nC2 ", "\u2028C2 "), "expected C1 on line 12"),
+        ("cohen_two_one", lambda t: t[:-1], "transcript does not end with a newline"),
+    ], ids=["nel", "form-feed", "no-final-newline", "pair-nel", "pair-line-separator", "pair-no-final-newline"])
+    def test_only_newline_ends_a_line(self, tmp_path, name, edit, detail):
+        tf = tmp_path / "t.transcript"
+        tf.write_text(edit((GOLDEN_DIR / f"{name}.transcript").read_text(encoding="utf-8")), encoding="utf-8")
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        assert (code, out, err) == (EXIT_VERIFY, f"FAIL transcript @- {detail}\nFAIL\n", "")
+
+    @pytest.mark.parametrize("name", ["build_evens_roster4", "cohen_two_one"])
+    def test_crlf_file_verifies(self, tmp_path, name):
+        # files are read in text mode, which turns each \r\n into \n
+        tf = tmp_path / "t.transcript"
+        tf.write_bytes((GOLDEN_DIR / f"{name}.transcript").read_bytes().replace(b"\n", b"\r\n"))
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        assert (code, out.splitlines()[-1], err) == (EXIT_OK, "PASS", "")
+
     def test_target_is_compared_as_canonical_text(self, tmp_path):
         # 3.0 == 3 and False == 0 in Python, but not in the transcript text
         name = "build_evens_roster4"
@@ -511,10 +533,9 @@ class TestTooLarge:
         assert seconds < 2
         assert run_genco(args, fuel="64")[0] == EXIT_OK
 
-    def test_deep_floor_forgery(self, tmp_path):
+    def _forged_floors(self, tmp_path, floor: str):
         # every floor of the honest one-step run of [dominate a=1 b=0]
-        # raised to the constant 40000: the dense-set check builds a
-        # witness node 40002 entries long
+        # replaced by `floor`
         cfg = dict(
             HECHLER_CFG,
             target={"prefix": [], "cycle": [0]},
@@ -525,10 +546,15 @@ class TestTooLarge:
         cf.write_text(json.dumps(cfg))
         assert run_genco(["build", "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
         text = tf.read_text()
-        forged = text.replace("floor(table=[],a=1,b=0)", "floor(table=[],a=0,b=40000)")
-        assert forged.count("b=40000") == 2
+        forged = text.replace("floor(table=[],a=1,b=0)", floor)
+        assert forged.count(floor) == 2
         tf.write_text(forged)
-        code, out, err, seconds = run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
+        return run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
+
+    def test_deep_floor_forgery(self, tmp_path):
+        # the floors raised to the constant 40000: the dense-set check
+        # builds a witness node 40002 entries long
+        code, out, err, seconds = self._forged_floors(tmp_path, "floor(table=[],a=0,b=40000)")
         assert code == EXIT_VERIFY and err == ""
         assert out.splitlines() == [
             "ok header.roster @-",
@@ -545,6 +571,15 @@ class TestTooLarge:
             "ok decode.prefix @-",
             "FAIL",
         ]
+        assert seconds < 2
+
+    def test_agreeing_floor_table_forgery(self, tmp_path):
+        # the floors written with a 10^5-entry table that agrees with the
+        # tail throughout, so the canonical floor trims it all away
+        floor = f"floor(table=[{','.join(map(str, range(100_000)))}],a=1,b=0)"
+        code, out, err, seconds = self._forged_floors(tmp_path, floor)
+        assert code == EXIT_VERIFY and err == ""
+        assert out == f"FAIL transcript @- bad step line: malformed condition text: 'stem=[];excl{{}};{floor}'\nFAIL\n"
         assert seconds < 2
 
     def _forged_steps(self, tmp_path, command: str, dense: list):

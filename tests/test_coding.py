@@ -312,6 +312,18 @@ class TestConfigs:
             ExplicitPeriodic((1,), (0,))  # finite
         with pytest.raises(ValueError):
             ExplicitPeriodic((2,), (0, 1))
+        with pytest.raises(ValueError, match="sequence entries must be naturals"):
+            ExplicitPeriodic((-1,), (0, 1))
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(0, 1), max_size=8),
+        st.lists(st.integers(0, 1), min_size=2, max_size=8).filter(lambda c: 0 in c and 1 in c),
+    )
+    def test_explicit_member_reads_its_pattern(self, prefix, cycle):
+        A = ExplicitPeriodic(prefix, cycle)
+        for z in range(-3, 200):
+            assert A.member(z) is oracles.explicit_member(tuple(prefix), tuple(cycle), z)
 
     def test_seq_validation(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,9 @@ class TestMeet:
         assert floor_max(f, f) is f
         g = FloorRule((3, 1), 1, 2)
         assert g is not f and floor_max(f, g) == f
+        # None, no bound, is the identity
+        assert floor_max(None, f) is f and floor_max(f, None) is f
+        assert floor_max(None, None) is None
 
     def test_incomparable_stems_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +275,16 @@ class TestExtends:
                 assert m == HechlerCondition(m.stem, m.exclusions, m.floor)
             r = restrict(T1, node_in(rng, T1, 1))
             assert r == HechlerCondition(r.stem, r.exclusions, r.floor)
+
+
+class TestFloorRule:
+    def test_agreeing_table_trims_in_linear_time(self):
+        start = time.perf_counter()
+        f = FloorRule(range(200_000), 1, 0)
+        g = FloorRule((9,) + tuple(range(1, 200_000)), 1, 0)
+        assert time.perf_counter() - start < 1
+        assert f == FloorRule((), 1, 0) and g.table == (9,)
+        assert FloorRule((5, 1, 2), 1, 0).table == (5,)
 
 
 class TestLeastFloorGap:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -275,6 +278,31 @@ class TestStemPattern:
         D = UserStemsSet([p, StemPattern(1, ((3, 2),))])
         assert D.node_class(s) == tuple(oracles.stem_deficits(q, s) for q in D.patterns)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 10), max_size=10), min_size=1, max_size=6))
+    def test_built_in_stem_sets_match_their_predicates(self, stems):
+        # stem_length n and stem_hits k are one-pattern user_stems sets;
+        # each must act as its own predicate did
+        stems = [tuple(s) for s in stems]
+        for bound in range(9):
+            pairs = (
+                (StemLengthSet(bound), oracles.StemLengthOracle(bound)),
+                (StemHitsSet(bound), oracles.StemHitsOracle(bound)),
+            )
+            for D, O in pairs:
+                for s in stems:
+                    W = D.member_witness(s)
+                    assert W == O.member_witness(s)
+                    assert W is None or W.stem == s
+                    assert D.member(HechlerCondition(s)) is O.member(HechlerCondition(s))
+                    assert list(itertools.islice(D.good_successors(s), 5)) == list(
+                        itertools.islice(O.good_successors(s), 5)
+                    )
+                    assert rank_bounded(D, s, 10, 3) == rank_bounded(O, s, 10, 3)
+                for s, t in itertools.product(stems, repeat=2):
+                    same = D.node_class(s) == D.node_class(t)
+                    assert same == (O.node_class(s) == O.node_class(t))
+
 
 class TestConfigs:
     def test_round_trip(self):
@@ -282,6 +310,11 @@ class TestConfigs:
         for _ in range(30):
             D = random_dense(rng)
             assert dense_from_config(D.config()).config() == D.config()
+
+    def test_copies_and_pickles_round_trip(self):
+        for D in (StemLengthSet(0), StemLengthSet(3), StemHitsSet(0)):
+            for E in (copy.deepcopy(D), pickle.loads(pickle.dumps(D))):
+                assert E.config() == D.config() and E.member(FULL_TREE) is D.member(FULL_TREE)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
