@@ -37,6 +37,7 @@ from .serialize import (
     parse_bits,
     parse_json,
     parse_nat,
+    quoted,
     render_bits,
     roster_hash,
     tagged_line,
@@ -279,7 +280,7 @@ def parse_pair_transcript(text: str) -> PairTranscript:
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
-                raise MalformedTranscript(f"bad stage line: {line!r}")
+                raise MalformedTranscript(f"bad stage line: {quoted(line)}")
             snaps.append(PairStage(parse_nat(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
         c1 = parse_bits(tagged_line(lines, len(lines) - 2, "C1"))
         c2 = parse_bits(tagged_line(lines, len(lines) - 1, "C2"))

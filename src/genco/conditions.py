@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .frozen import Frozen
-from .serialize import SeqCodec, _entries, parse_nat, parse_seq, render_seq
+from .serialize import SeqCodec, _entries, parse_nat, parse_seq, quoted, render_seq
 
 Node = tuple[int, ...]
 
@@ -40,7 +40,7 @@ def as_node(xs) -> Node:
 
 
 def is_prefix(a: Node, b: Node) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
+    return a is b or (len(a) <= len(b) and b[: len(a)] == a)
 
 
 def comparable(a: Node, b: Node) -> bool:
@@ -81,7 +81,8 @@ class FloorRule(Frozen):
 
 def floor_max(f: FloorRule | None, g: FloorRule | None) -> FloorRule | None:
     """Pointwise maximum of two floor rules, again table + affine; None,
-    no bound, is the identity."""
+    no bound, is the identity.  An argument that already dominates the
+    other is returned itself."""
     if f is None:
         return g
     if g is None or f == g:
@@ -97,7 +98,8 @@ def floor_max(f: FloorRule | None, g: FloorRule | None) -> FloorRule | None:
         cut = max(base, cross, 0)
         tail = (hi.slope, hi.intercept)
     table = tuple(max(f.value(n), g.value(n)) for n in range(cut))
-    return FloorRule(table, tail[0], tail[1])
+    out = FloorRule(table, tail[0], tail[1])
+    return f if out == f else g if out == g else out
 
 
 def _floor_at(floor: FloorRule | None, level: int) -> int:
@@ -244,7 +246,10 @@ def restrict(T: HechlerCondition, t) -> HechlerCondition:
 
 
 def _restrict(T: HechlerCondition, t: Node) -> HechlerCondition:
-    """`restrict` for a node t already known to lie in T."""
+    """`restrict` for a node t already known to lie in T; T itself when
+    t is T's own stem object."""
+    if t is T.stem:
+        return T
     kept = tuple((k, s) for k, s in T.exclusions if is_prefix(t, k))
     return HechlerCondition._trusted(t, kept, T.floor)
 
@@ -253,7 +258,10 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     """Intersection of two conditions with comparable stems.
 
     Returns None when the longer stem dies under the other condition's
-    constraints (the intersection then has no infinite part).
+    constraints (the intersection then has no infinite part).  A side
+    the other adds nothing to, with the result's stem and floor objects
+    and equal atoms, is returned itself, the longer-stemmed (or second)
+    side first.
     """
     if not comparable(T1.stem, T2.stem):
         raise ValueError(f"stems {T1.stem} and {T2.stem} are incomparable")
@@ -266,7 +274,11 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
         for key, steps in side.exclusions:
             if is_prefix(stem, key):
                 merged.setdefault(key, set()).update(steps)
-    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor_max(T1.floor, T2.floor))
+    excl, floor = _canonical_exclusions(merged), floor_max(T1.floor, T2.floor)
+    for side in (long, short):
+        if side.stem is stem and side.floor is floor and side.exclusions == excl:
+            return side
+    return HechlerCondition._trusted(stem, excl, floor)
 
 
 def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
@@ -370,6 +382,8 @@ def render_condition(T: HechlerCondition) -> str:
 
 
 def _render_exclusions(T: HechlerCondition) -> str:
+    if not T.exclusions:
+        return "excl{}"
     excl = ";".join(
         f"{render_seq(key)}:{{{','.join(map(str, steps))}}}"
         for key, steps in T.exclusions
@@ -398,22 +412,27 @@ class ConditionCodec:
     equal to the last one parsed gives the same (immutable) condition
     again.  Parsing accepts only the text `render` writes: atoms and
     floors must render back to their own text, and every error is
-    ``malformed condition text``.  Use one instance per direction and
-    per transcript.
+    ``malformed condition text``.  Rendering the condition object last
+    rendered or parsed gives its text again, and parsing the text last
+    parsed or rendered gives its condition again.  Use one instance per
+    direction and per transcript.
     """
 
     def __init__(self):
         self._stems = SeqCodec()
         self._floor_texts: dict[FloorRule | None, str] = {}
         self._floors: dict[str, FloorRule | None] = {}
-        self._text: str | None = None  # the last condition parsed, and its value
+        self._text: str | None = None  # the last condition rendered or parsed, and its value
         self._cond: HechlerCondition | None = None
 
     def render(self, T: HechlerCondition) -> str:
-        floor = self._floor_texts.get(T.floor)
-        if floor is None:
-            floor = self._floor_texts[T.floor] = _render_floor(T.floor)
-        return f"stem={self._stems.render(T.stem)};{_render_exclusions(T)};{floor}"
+        if T is not self._cond:
+            floor = self._floor_texts.get(T.floor)
+            if floor is None:
+                floor = self._floor_texts[T.floor] = _render_floor(T.floor)
+            self._text = f"stem={self._stems.render(T.stem)};{_render_exclusions(T)};{floor}"
+            self._cond = T
+        return self._text
 
     def parse(self, text: str) -> HechlerCondition:
         if text == self._text:
@@ -439,7 +458,7 @@ class ConditionCodec:
             else:
                 T = HechlerCondition._trusted(stem, (), floor)
         except ValueError as exc:
-            raise ValueError(f"malformed condition text: {text!r}") from exc
+            raise ValueError(f"malformed condition text: {quoted(text)}") from exc
         self._text, self._cond = text, T
         return T
 

@@ -199,7 +199,10 @@ class DominateSet(PruningDenseSet):
         self.floor = floor
 
     def refine(self, T: HechlerCondition) -> HechlerCondition:
-        return HechlerCondition._trusted(T.stem, T.exclusions, floor_max(T.floor, self.floor))
+        """T with its floor raised to this set's; T itself when its floor
+        already dominates, as `floor_max` then keeps it."""
+        floor = floor_max(T.floor, self.floor)
+        return T if floor is T.floor else HechlerCondition._trusted(T.stem, T.exclusions, floor)
 
     def member(self, T: HechlerCondition) -> bool:
         return floor_gap_witness(T, self.floor) is None
@@ -316,7 +319,7 @@ def extend_in_A(
     if isinstance(D, PruningDenseSet):
         refined = D.refine(T)
         result = meet(refined, T)
-        if result is None or result.stem != T.stem:
+        if result is None or (result.stem is not T.stem and result.stem != T.stem):
             raise WitnessStemMismatch("refine changed the stem or killed it")
         return result
     if not isinstance(D, StemBasedDenseSet):
@@ -326,7 +329,7 @@ def extend_in_A(
     while True:
         W = D.member_witness(t)
         if W is not None:
-            if W.stem != t:
+            if W.stem is not t and W.stem != t:
                 raise WitnessStemMismatch(
                     f"witness stem {W.stem} differs from requested {t}"
                 )

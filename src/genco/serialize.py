@@ -59,6 +59,18 @@ def decimal_digits(z: int) -> int:
     return k + (z >= 10**k)
 
 
+QUOTE_CAP = 200
+
+
+def quoted(text: str) -> str:
+    """`repr(text)` for a parse error; a text longer than QUOTE_CAP
+    characters is quoted by its first QUOTE_CAP and its length, so the
+    message stays short whatever the input."""
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
+
+
 def _is_nat(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
 
@@ -89,13 +101,13 @@ def _entries(body: str, text: str) -> tuple[int, ...]:
             and body.count(",0") + body.startswith("0") == parts.count("0")):
         return tuple(map(int, parts))
     bad = next(part for part in parts if not _is_nat(part))
-    raise ValueError(f"bad sequence entry {bad!r} in {text!r}")
+    raise ValueError(f"bad sequence entry {quoted(bad)} in {quoted(text)}")
 
 
 def parse_seq(text: str) -> tuple[int, ...]:
     """Parse ``[a,b,c]``, the text `render_seq` writes, and nothing else."""
     if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"not a sequence literal: {text!r}")
+        raise ValueError(f"not a sequence literal: {quoted(text)}")
     return _entries(text[1:-1], text) if len(text) > 2 else ()
 
 
@@ -118,7 +130,7 @@ def parse_bits(text: str) -> bytes:
         raw = text.encode("ascii")
         if not raw.translate(None, b"01"):
             return raw.translate(_TEXT_TO_BITS)
-    raise ValueError(f"bad bit string {text!r}")
+    raise ValueError(f"bad bit string {quoted(text)}")
 
 
 class SeqCodec:

@@ -17,7 +17,9 @@ spelling rule per field and one line end.
 pair code from when a bit string was a tuple of ints; `cohen_member`
 holds the membership tests of the built-in cohen dense sets from then.
 The pair oracles read and return such tuples; `pair_as_tuples` converts
-a library `PairTranscript`, whose strings are bytes, for them.
+a library `PairTranscript`, whose strings are bytes, for them.  Their
+parse errors quote the input through the library's `quoted`, as the
+library's do.
 
 `extends` (with `floor_gap_witness` and `_first_bad_prefix`) and
 `verify_transcript` are the order check and the verifier from before
@@ -28,6 +30,10 @@ The library must give the same verdicts, witnesses, check lists and
 report lines.  `_stem_avoids` is the stem-avoidance test of that
 verifier, which proved the stem prefix again instead of reusing the
 chain check's answer.
+
+`meet` is the intersection from before it returned an argument that
+the other side adds nothing to: it builds a new condition every time.
+The library's `meet` must return an equal condition, or None alike.
 
 `nth_prime`, `is_prime` and `prime_index` are the prime table before the
 sieve: it grows one trial division at a time, in a table of its own.
@@ -61,9 +67,11 @@ from genco.conditions import (
     FloorRule,
     HechlerCondition,
     Node,
+    _canonical_exclusions,
     _contains,
     _floor_at,
     comparable,
+    floor_max,
     is_prefix,
     least_floor_gap,
     parse_condition,
@@ -85,6 +93,7 @@ from genco.serialize import (
     parse_json,
     parse_nat,
     parse_seq,
+    quoted,
     render_seq,
     roster_hash,
     transcript_lines,
@@ -145,6 +154,21 @@ def extends_bounded(
     if len(s2) > depth or any(e > width for e in s2):
         return None
     return dfs(s2)
+
+
+def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
+    if not comparable(T1.stem, T2.stem):
+        raise ValueError(f"stems {T1.stem} and {T2.stem} are incomparable")
+    short, long = (T1, T2) if len(T1.stem) <= len(T2.stem) else (T2, T1)
+    if not _contains(short, long.stem):
+        return None
+    stem = long.stem
+    merged: dict[Node, set[int]] = {}
+    for side in (short, long):
+        for key, steps in side.exclusions:
+            if is_prefix(stem, key):
+                merged.setdefault(key, set()).update(steps)
+    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor_max(T1.floor, T2.floor))
 
 
 def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
@@ -395,7 +419,7 @@ def parse_pair_transcript(text: str) -> PairTranscript:
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
-                raise MalformedTranscript(f"bad stage line: {line!r}")
+                raise MalformedTranscript(f"bad stage line: {quoted(line)}")
             snaps.append(PairStage(parse_nat(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
         c1 = parse_bits(header(len(lines) - 2, "C1"))
         c2 = parse_bits(header(len(lines) - 1, "C2"))
@@ -419,7 +443,7 @@ def parse_bits(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
     if not text or text.strip("01"):
-        raise ValueError(f"bad bit string {text!r}")
+        raise ValueError(f"bad bit string {quoted(text)}")
     return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
 
 

@@ -21,7 +21,7 @@ from genco.cli import (
 )
 from genco import EventuallyPeriodicSeq, cohen_from_config, verify_pair, write_pair_transcript
 from genco.cohenpair import PairStage, PairTranscript
-from genco.serialize import canonical_json, roster_hash
+from genco.serialize import QUOTE_CAP, canonical_json, roster_hash
 import oracles
 from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
 
@@ -575,11 +575,15 @@ class TestTooLarge:
 
     def test_agreeing_floor_table_forgery(self, tmp_path):
         # the floors written with a 10^5-entry table that agrees with the
-        # tail throughout, so the canonical floor trims it all away
+        # tail throughout, so the canonical floor trims it all away; the
+        # FAIL line quotes only the head of the 588 KB condition text
         floor = f"floor(table=[{','.join(map(str, range(100_000)))}],a=1,b=0)"
         code, out, err, seconds = self._forged_floors(tmp_path, floor)
         assert code == EXIT_VERIFY and err == ""
-        assert out == f"FAIL transcript @- bad step line: malformed condition text: 'stem=[];excl{{}};{floor}'\nFAIL\n"
+        cond = f"stem=[];excl{{}};{floor}"
+        line = f"FAIL transcript @- bad step line: malformed condition text: {cond[:QUOTE_CAP]!r}... ({len(cond)} characters)"
+        assert out == f"{line}\nFAIL\n"
+        assert len(line) < 2 * QUOTE_CAP
         assert seconds < 2
 
     def _forged_steps(self, tmp_path, command: str, dense: list):

@@ -25,8 +25,9 @@ from genco import (
     render_condition,
     restrict,
 )
-from genco.conditions import comparable, floor_max, is_prefix, least_floor_gap
+from genco.conditions import ConditionCodec, _restrict, comparable, floor_max, is_prefix, least_floor_gap
 from conftest import node_in, random_condition
+import oracles
 from oracles import extends_bounded
 
 
@@ -187,6 +188,54 @@ class TestMeet:
                 elif both:
                     # dead longer stem: shared nodes form a finite chain
                     assert is_prefix(u, T2.stem)
+
+
+@st.composite
+def comparable_pairs(draw):
+    """Two conditions with comparable stems, in either order: the second
+    extends the first's stem, shares the first's stem object (with the
+    first's floor object or its own), or is the first itself."""
+    T1, T2 = draw(conditions_()), draw(conditions_())
+    how = draw(st.sampled_from(("extend", "share", "share floor", "same")))
+    if how == "same":
+        T2 = T1
+    else:
+        stem = T1.stem + T2.stem if how == "extend" else T1.stem
+        # re-rooting keeps the keys in order, since they share the prefix
+        excl = tuple((stem + k[len(T2.stem):], steps) for k, steps in T2.exclusions)
+        T2 = HechlerCondition._trusted(stem, excl, T1.floor if how == "share floor" else T2.floor)
+    return (T2, T1) if draw(st.booleans()) else (T1, T2)
+
+
+class TestReuse:
+    """Operations that change nothing return their argument."""
+
+    T = HechlerCondition((2, 3), {(2, 3, 1): (4,)}, FloorRule((), 1, 1))
+
+    def test_stem_is_its_own_prefix(self):
+        s = tuple(range(1000))
+        assert is_prefix(s, s) and comparable(s, s)
+
+    def test_meet_with_itself(self):
+        assert meet(self.T, self.T) is self.T
+
+    def test_stem_only_witness(self):
+        W = HechlerCondition._trusted(self.T.stem, (), None)
+        assert meet(W, self.T) is self.T
+
+    def test_restrict_to_own_stem(self):
+        assert _restrict(self.T, self.T.stem) is self.T
+        assert restrict(self.T, (2, 3)) == self.T
+
+    def test_render_twice(self):
+        codec = ConditionCodec()
+        text = codec.render(self.T)
+        assert codec.render(self.T) is text == render_condition(self.T)
+
+    @settings(max_examples=300)
+    @given(comparable_pairs())
+    def test_meet_matches_oracle(self, pair):
+        assert meet(*pair) == oracles.meet(*pair)
 
 
 class TestExtends:

@@ -129,6 +129,17 @@ class TestExtendInA:
         assert R.floor is not None and R.floor.value(3) == 4
         assert D.member(R) is True
 
+    @pytest.mark.parametrize("D", [
+        StemLengthSet(2),
+        StemHitsSet(4),
+        DominateSet(FloorRule((1,), 0, 2)),
+        UserStemsSet([StemPattern(1, ((6, 1),))]),
+    ], ids=["stem_length", "stem_hits", "dominate", "user_stems"])
+    def test_member_comes_back_unchanged(self, D):
+        T = HechlerCondition((1, 7, 9), {(1, 7, 9, 5): (0,)}, FloorRule((3,), 1, 4))
+        assert D.member(T) is True
+        assert extend_in_A(T, D, EVENS) is T
+
     def test_exclusion_is_dodged(self):
         T = HechlerCondition((), {(): (5,)})
         R = extend_in_A(T, StemHitsSet(4), EVENS)
@@ -251,6 +262,14 @@ class TestMember:
         assert D.member(HechlerCondition((6, 0))) is True
         assert D.member(HechlerCondition((6,))) is False
         assert D.member(HechlerCondition((0, 0))) is False
+
+    def test_refine_reuses_a_dominating_condition(self):
+        T = HechlerCondition((1,), {(1, 2): (3,)}, FloorRule((5,), 2, 1))
+        assert DominateSet(FloorRule((), 1, 1)).refine(T) is T
+        assert DominateSet(T.floor).refine(T) is T
+        R = DominateSet(FloorRule((), 0, 6)).refine(T)
+        assert R is not T and R.floor == FloorRule((6, 6, 6), 2, 1)
+        assert (R.stem, R.exclusions) == (T.stem, T.exclusions)
 
     def test_refine_is_member_with_same_stem(self):
         rng = random.Random(15)

@@ -24,10 +24,10 @@ from genco import (
     verify_transcript,
     write_transcript,
 )
-from genco.cli import EXIT_VERIFY
+from genco.cli import EXIT_VERIFY, parse_config
 from genco.conditions import FULL_TREE
 from conftest import random_help, random_roster, random_seq
-from corpus import run_cli
+from corpus import CONFIG_DIR, run_cli
 from mutations import ALL_MUTATIONS, apply_mutation
 
 EVENS = Evens()
@@ -91,6 +91,15 @@ class TestBuild:
                 if e.kind == "MEET" and roster[e.index].member(e.condition) is True:
                     met.add(e.index)
             assert met == set(range(len(roster)))
+
+    def test_met_condition_is_reused(self):
+        # a meet that finds the condition already in the dense set logs
+        # that same object again, so the writer renders it once
+        cfg = parse_config((CONFIG_DIR / "build_evens_roster4.json").read_text())
+        t = build_coded_generic(cfg.roster(), cfg.help_set(), cfg.target(), cfg.steps)
+        repeats = [(prev.condition, e.condition) for prev, e in zip(t.entries, t.entries[1:])
+                   if e.kind == "MEET" and e.condition == prev.condition]
+        assert repeats and all(a is b for a, b in repeats)
 
     def test_empty_roster_code_only(self):
         t = build_coded_generic([], EVENS, ONES, 3)

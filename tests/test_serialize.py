@@ -8,8 +8,10 @@ import pytest
 
 import oracles
 from genco.cohenpair import parse_pair_transcript
+from genco.conditions import parse_condition
 from genco.errors import MalformedTranscript
 from genco.serialize import (
+    QUOTE_CAP,
     SeqCodec,
     canonical_json,
     decimal_digits,
@@ -18,6 +20,7 @@ from genco.serialize import (
     parse_nat,
     parse_seq,
     printable,
+    quoted,
     render_bits,
     render_seq,
     str_digit_limit,
@@ -123,7 +126,8 @@ def test_seq_codec_parses_like_parse_seq(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["0101", "01011", "0101-", "01012", "0101 ", "010", "-", "", "0101٣", "1101"]
+    "text", ["0101", "01011", "0101-", "01012", "0101 ", "010", "-", "", "0101٣", "1101",
+             "0" * 300 + "2", "0101 " + "1" * 300]
 )
 def test_bits_codec_parses_like_parse_bits(text):
     # the bytes codec of bit strings against the tuple one it replaced,
@@ -143,6 +147,25 @@ def test_bits_codec_parses_like_parse_bits(text):
     except MalformedTranscript as exc:
         want = str(exc)
     assert got == want
+
+
+def test_parse_errors_quote_a_capped_head():
+    # a text within the cap is quoted whole, as repr does
+    for text in ("", "ab'c", "é" * QUOTE_CAP):
+        assert quoted(text) == repr(text)
+    long = "x" * (10 * QUOTE_CAP)
+    assert quoted(long) == f"{long[:QUOTE_CAP]!r}... ({len(long)} characters)"
+    cases = [
+        (parse_seq, long, "not a sequence literal: "),
+        (parse_seq, "[" + "1," * QUOTE_CAP + "x]", "bad sequence entry 'x' in "),
+        (parse_bits, long, "bad bit string "),
+        (parse_condition, long, "malformed condition text: "),
+    ]
+    for parse, text, head in cases:
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == head + quoted(text)
+        assert len(str(info.value)) < 2 * QUOTE_CAP
 
 
 def test_codecs_render_like_full_renderers():
