@@ -68,6 +68,15 @@ class RunConfig(NamedTuple):
     def cohen_rosters(self) -> tuple[list, list]:
         return list(self.dense), list(self.dense2)
 
+    def verify_inputs(self, t: generic.RunTranscript) -> tuple:
+        """Help set and target for a hechler transcript: both when its HELP
+        or TARGET is set, so a coded header with a null half fails."""
+        if t.help_config is None and t.target_config is None:
+            return None, None
+        if self.x is None:
+            raise ConfigError("target", "coded transcript needs a target in the config")
+        return self.help, self.x
+
 
 def _roster(raw: dict, key: str, from_config) -> tuple:
     if not isinstance(raw[key], list):
@@ -172,11 +181,7 @@ def _cmd_verify(args, out) -> int:
         print("FAIL", file=out)
         return EXIT_VERIFY
     if cfg.poset == "hechler":
-        coded = t.help_config is not None or t.target_config is not None
-        if coded and cfg.target() is None:
-            raise ConfigError("target", "coded transcript needs a target in the config")
-        A = cfg.help_set() if t.help_config is not None else None
-        x = cfg.target() if t.target_config is not None else None
+        A, x = cfg.verify_inputs(t)
         report = generic.verify_transcript(cfg.roster(), A, x, t, _fuel())
     else:
         r1, r2 = cfg.cohen_rosters()

@@ -126,22 +126,6 @@ class HelpSet:
         raise NotImplementedError
 
 
-class Evens(HelpSet):
-    def member(self, z: int) -> bool:
-        return z >= 0 and z % 2 == 0
-
-    def enumerate(self, n: int, fuel: int = DEFAULT_FUEL) -> int:
-        return 2 * n
-
-    def index_of(self, z: int, fuel: int = DEFAULT_FUEL) -> int:
-        if not self.member(z):
-            raise ValueError(f"{z} is not a member")
-        return z // 2
-
-    def config(self) -> dict:
-        return {"kind": "evens"}
-
-
 class Primes(HelpSet):
     def member(self, z: int) -> bool:
         return primes.is_prime(z)
@@ -285,6 +269,16 @@ class ExplicitPeriodic(HelpSet):
 
     def config(self) -> dict:
         return {"kind": "explicit", "prefix": list(self.prefix), "cycle": list(self.cycle)}
+
+
+class Evens(ExplicitPeriodic):
+    """The even naturals: the membership pattern [1,0]."""
+
+    def __init__(self):
+        super().__init__((), (1, 0))
+
+    def config(self) -> dict:
+        return {"kind": "evens"}
 
 
 def help_set_from_config(cfg, path: str = "help") -> HelpSet:

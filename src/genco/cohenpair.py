@@ -195,27 +195,25 @@ def build_pair(
     """Run the staged construction; both rosters are cycled.  Returns
     the pair and a replayable transcript of end-of-stage snapshots.  An
     extension that would add more than `fuel` bits raises FuelExhausted
-    before it is built."""
+    before it is built; a target entry that is not a bit raises
+    ValueError before the first stage."""
     if stages < 0:
         raise ValueError("stages must be a natural")
+    # every target value is one of these entries, first read at its index
+    for i, b in enumerate(x.prefix + x.cycle):
+        if b not in (0, 1):
+            raise ValueError(f"target entry {b} at {i} is not a bit")
     p: Bits = b""
     q: Bits = b""
     j = 0
     snaps: list[PairStage] = []
-
-    def x_bit(i: int) -> int:
-        b = x.value(i)
-        if b not in (0, 1):
-            raise ValueError(f"target entry {b} at {i} is not a bit")
-        return b
-
     for i in range(stages):
         if roster1:
             p2 = _checked_extend(roster1[i % len(roster1)], p, i, fuel)
             region = bytearray(len(p2) - len(p))  # q's bits over p's new region
             for m, b in enumerate(p2[len(p):]):
                 if b == 1:
-                    region[m] = x_bit(j)
+                    region[m] = x.value(j)
                     j += 1
             p, q = p2, q + region
         if roster2:
@@ -223,7 +221,7 @@ def build_pair(
             p += bytes(len(q2) - len(q))
             q = q2
         p += b"\x01"
-        q += bytes((x_bit(j),))
+        q += bytes((x.value(j),))
         j += 1
         snaps.append(PairStage(i, p, q))
     transcript = PairTranscript(

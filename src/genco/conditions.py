@@ -281,26 +281,29 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     return HechlerCondition._trusted(stem, excl, floor)
 
 
-def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
-    """A node of T whose last step, taken at or above the stem, is <= f
-    at its level; None iff there is none, i.e. every step of T clears f.
-
-    At the stem level the stem is the only node, so each sub-floor step
-    is tried there.  Every higher level has infinitely many nodes but
-    finitely many atom keys, so the first floor gap above the stem shows
-    at the least-step node that carries no atom.  That node is built in
-    a list, reading atoms only at the levels that have keys, so it costs
-    time linear in its length plus the atoms.
-    """
+def _floor_gap(T: HechlerCondition, f: FloorRule) -> int | None:
+    """The least level at or above T's stem where a step of T is <= f, if
+    any.  The stem, alone at its level, has a gap iff its least step is
+    <= f; a higher level has infinitely many nodes but finitely many atom
+    keys, so it has one iff T's floor lies below f there."""
     s = T.stem
     gap = least_floor_gap(T.floor, f, len(s))
-    if gap == len(s):
-        for z in range(T.floor_at(gap) + 1, f.value(gap) + 1):
-            if T.admits_step(s, z):
-                return s + (z,)
+    if gap == len(s) and T.least_step(s) > f.value(gap):
         gap = least_floor_gap(T.floor, f, gap + 1)
+    return gap
+
+
+def floor_gap_witness(T: HechlerCondition, f: FloorRule) -> Node | None:
+    """A node of T whose last step, taken at or above the stem, is <= f
+    at its level, which is the one `_floor_gap` finds; None iff every
+    step of T clears f.  Above the stem it is the least-step node with no
+    atom, built in a list that reads atoms only at keyed levels."""
+    s = T.stem
+    gap = _floor_gap(T, f)
     if gap is None:
         return None
+    if gap == len(s):
+        return s + (T.least_step(s),)
     keyed_levels = {len(k) for k, _ in T.exclusions}
     path = list(s)
     for level in range(len(s), gap - 1):

@@ -28,9 +28,9 @@ from .conditions import (
     FloorRule,
     HechlerCondition,
     Node,
+    _floor_gap,
     _restrict,
     as_node,
-    floor_gap_witness,
     floor_max,
     meet,
 )
@@ -205,7 +205,7 @@ class DominateSet(PruningDenseSet):
         return T if floor is T.floor else HechlerCondition._trusted(T.stem, T.exclusions, floor)
 
     def member(self, T: HechlerCondition) -> bool:
-        return floor_gap_witness(T, self.floor) is None
+        return _floor_gap(T, self.floor) is None
 
     def config(self) -> dict:
         return {
@@ -337,7 +337,6 @@ def extend_in_A(
             if result is None:
                 raise WitnessStemMismatch("witness incompatible with its own stem")
             return result
-        moved = False
         for z in D.good_successors(t):
             budget -= 1
             if budget <= 0:
@@ -346,9 +345,8 @@ def extend_in_A(
                 )
             if T.admits_step(t, z) and (A is None or not A.member(z)):
                 t = t + (z,)
-                moved = True
                 break
-        if not moved:
+        else:
             raise FuelExhausted(f"successor enumeration of {t} ended early")
 
 

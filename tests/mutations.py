@@ -121,6 +121,15 @@ def mutate_dominate_floor(text: str) -> str:
     raise AssertionError("no floored MEET condition")
 
 
+def mutate_target_nulled(text: str) -> str:
+    """Write the TARGET header of a coded transcript as null, leaving the
+    HELP header and every CODE line as they are."""
+    lines = text.splitlines()
+    assert lines[2].startswith("TARGET ") and lines[2] != "TARGET null", "no target header"
+    lines[2] = "TARGET null"
+    return "\n".join(lines) + "\n"
+
+
 ALL_MUTATIONS = {
     "code_z": mutate_code_z,
     "meet_swap": mutate_meet_swap,
@@ -128,6 +137,7 @@ ALL_MUTATIONS = {
     "stem_in_A": mutate_meet_stem_in_A,
     "roster_hash": mutate_roster_hash,
     "dominate_floor": mutate_dominate_floor,
+    "target_nulled": mutate_target_nulled,
 }
 
 

@@ -189,7 +189,7 @@ def test_criterion_7_verifier_mutation_robustness(tmp_path):
             )
             assert code == EXIT_VERIFY, f"run {i}: mutation {name} not caught"
             caught += 1
-    assert caught == 300
+    assert caught == 350
     _report(7, "verifier mutation robustness", started, 5.0)
 
 

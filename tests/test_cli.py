@@ -355,6 +355,46 @@ class TestCommands:
         assert code == EXIT_OK and out.endswith("PASS\n")
 
 
+class TestVerifyMode:
+    """A hechler transcript is coded when its HELP or TARGET header is
+    set; it is then checked against the config's help set and target, so
+    a coded header with one half null fails that half's check."""
+
+    def _forged(self, tmp_path, line: int, text: str):
+        # the honest run coding 5,5,5,... with one header line replaced,
+        # verified against HECHLER_CFG, whose target is 1,0,0,...
+        cf, ff, tf = tmp_path / "c.json", tmp_path / "f.json", tmp_path / "t"
+        cf.write_text(json.dumps(HECHLER_CFG))
+        ff.write_text(json.dumps(dict(HECHLER_CFG, target={"prefix": [], "cycle": [5]})))
+        assert run_cli(["build", "--config", str(ff), "--out", str(tf)])[0] == EXIT_OK
+        lines = tf.read_text().split("\n")
+        lines[line] = text
+        tf.write_text("\n".join(lines))
+        return run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+
+    def test_target_nulled(self, tmp_path):
+        code, out, err = self._forged(tmp_path, 2, "TARGET null")
+        assert code == EXIT_VERIFY and err == ""
+        assert "FAIL header.target @- transcript target None != {'prefix': [1], 'cycle': [0]}" in out
+        assert "FAIL code.value @entry 1 z=62 not a member with label 1" in out
+
+    def test_help_nulled(self, tmp_path):
+        code, out, err = self._forged(tmp_path, 1, "HELP null")
+        assert code == EXIT_VERIFY and err == ""
+        assert "FAIL header.help @- transcript help None != {'kind': 'evens'}" in out
+
+    def test_coded_transcript_needs_a_target(self, tmp_path):
+        cf, tf = tmp_path / "c.json", tmp_path / "t"
+        cf.write_text(json.dumps(HECHLER_CFG))
+        assert run_cli(["build", "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
+        cfg = dict(HECHLER_CFG)
+        del cfg["target"]
+        cf.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error at target: coded transcript needs a target in the config\n"
+
+
 class TestPairStageNumbers:
     """A pair transcript whose STAGE lines are not numbered 0..STAGES-1
     fails `header.stages`, naming the first misnumbered stage."""
@@ -572,6 +612,14 @@ class TestTooLarge:
             "FAIL",
         ]
         assert seconds < 2
+
+    @pytest.mark.parametrize("b", [10**7, 10**18])
+    def test_far_floor_forgery(self, tmp_path, b):
+        # the dense-set check finds the floor gap at level b + 1 by
+        # arithmetic, without building a node that long
+        code, out, err, seconds = self._forged_floors(tmp_path, f"floor(table=[],a=0,b={b})")
+        assert (code, out, err) == self._forged_floors(tmp_path, "floor(table=[],a=0,b=40000)")[:3]
+        assert code == EXIT_VERIFY and seconds < 2
 
     def test_agreeing_floor_table_forgery(self, tmp_path):
         # the floors written with a 10^5-entry table that agrees with the

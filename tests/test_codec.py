@@ -27,8 +27,9 @@ from genco import (
     write_pair_transcript,
     write_transcript,
 )
+from genco import cohenpair, generic
 from genco.cohenpair import PairStage, PairTranscript
-from genco.generic import CODE, MEET, RunTranscript, TranscriptEntry
+from genco.generic import CODE, MEET, CheckResult, RunTranscript, TranscriptEntry, VerificationReport
 import oracles
 from conftest import random_bit_seq, random_condition, random_help, random_roster, random_seq
 from corpus import GOLDEN_DIR, REPO
@@ -324,3 +325,14 @@ def test_make_goldens_check_names_each_golden_that_does_not_round_trip(monkeypat
     capsys.readouterr()
     assert tool.main(["--check"]) == 1
     assert capsys.readouterr().out.split("\n") == [f"does not round-trip: {p.name}" for p in GOLDENS] + [""]
+
+
+def test_make_goldens_check_names_each_golden_that_does_not_verify(monkeypatch, capsys):
+    # verifiers that fail every transcript: every golden is named
+    failed = VerificationReport((CheckResult("header.roster", "-", False, "forced"),))
+    monkeypatch.setattr(generic, "verify_transcript", lambda *args: failed)
+    monkeypatch.setattr(cohenpair, "verify_pair", lambda *args: failed)
+    tool = load_make_goldens()
+    capsys.readouterr()
+    assert tool.main(["--check"]) == 1
+    assert capsys.readouterr().out.split("\n") == [f"does not verify: {p.name}" for p in GOLDENS] + [""]

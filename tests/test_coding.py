@@ -118,6 +118,21 @@ class TestEnumeration:
             with pytest.raises(ValueError, match=f"^{z} is not prime$"):
                 PRIMES.index_of(z)
 
+    def test_evens_are_the_pattern_1_0(self):
+        # the explicit pattern [1,0] keeps the closed forms and the error
+        # message of the even numbers
+        for n in range(1000):
+            assert EVENS.enumerate(n) == 2 * n
+            assert EVENS.member(2 * n) and not EVENS.member(2 * n + 1)
+            assert EVENS.index_of(2 * n) == n
+        assert EVENS.enumerate(10**30) == 2 * 10**30
+        assert EVENS.index_of(2 * 10**30 + 6) == 10**30 + 3
+        for z in (1, 7, 10**30 + 1, -1, -2, -10**30):
+            assert not EVENS.member(z)
+            with pytest.raises(ValueError, match=f"^{z} is not a member$"):
+                EVENS.index_of(z)
+        assert EVENS.config() == {"kind": "evens"}
+
     def test_coinfinite(self):
         for A in builtin_help_sets():
             outside = [z for z in range(100_000) if not A.member(z)]

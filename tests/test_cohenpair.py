@@ -60,6 +60,11 @@ class TestBuild:
     def test_non_bit_target_rejected(self):
         with pytest.raises(ValueError):
             build_pair([], [], EventuallyPeriodicSeq((2,), (0,)), 1)
+        # each entry is checked before the first stage, at the index where
+        # it is first read, whether or not a stage reads it
+        for stages in (0, 1, 5):
+            with pytest.raises(ValueError, match="^target entry 3 at 2 is not a bit$"):
+                build_pair([], [], EventuallyPeriodicSeq((0,), (1, 3)), stages)
 
     def test_broken_oracle_reported(self):
         class Broken(CohenDense):

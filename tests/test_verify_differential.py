@@ -59,9 +59,7 @@ def golden_inputs(path):
     verify` chooses them, and the text."""
     cfg = parse_config((CONFIG_DIR / f"{path.stem}.json").read_text())
     text = path.read_text()
-    t = parse_transcript(text)
-    A = cfg.help_set() if t.help_config is not None else None
-    x = cfg.target() if t.target_config is not None else None
+    A, x = cfg.verify_inputs(parse_transcript(text))
     return cfg.roster(), A, x, text
 
 

@@ -9,8 +9,10 @@ With `--check` nothing under tests/goldens is written: every golden is
 rebuilt through the CLI into a temporary directory and compared byte for
 byte with its file, and each golden that is equal is also parsed through
 the library and written back.  Each golden that differs or does not come
-back as its own text is named, and the exit code is 1 if any is.  It is
-the quick guard for codec changes:
+back as its own text is named, and the exit code is 1 if any is.  Each
+equal golden is also run through `genco verify` against its config, and
+each that does not PASS is named too.  It is the quick guard for codec
+and verifier changes:
 
     python3 tools/make_goldens.py --check
 """
@@ -26,7 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from corpus import GOLDEN_DIR, build_transcript, command_for, corpus_paths  # noqa: E402
+from corpus import GOLDEN_DIR, build_transcript, command_for, corpus_paths, run_cli  # noqa: E402
 from genco import (  # noqa: E402
     MalformedTranscript,
     parse_pair_transcript,
@@ -50,10 +52,10 @@ def round_trips(path: Path, text: str) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="write nothing to tests/goldens; exit 1 and name each golden that differs"
-                         " or does not round-trip")
+                    help="write nothing to tests/goldens; exit 1 and name each golden that differs,"
+                         " does not round-trip or does not verify")
     args = ap.parse_args(argv)
-    differ, broken = [], []
+    differ, broken, failing = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         for path in corpus_paths():
             golden = GOLDEN_DIR / (path.stem + ".transcript")
@@ -67,13 +69,18 @@ def main(argv=None) -> int:
                 print(f"wrote {golden.relative_to(REPO)}")
             elif not golden.is_file() or golden.read_bytes() != out.read_bytes():
                 differ.append(golden)
-            elif not round_trips(path, golden.read_bytes().decode("utf-8")):
-                broken.append(golden)
+            else:
+                if not round_trips(path, golden.read_bytes().decode("utf-8")):
+                    broken.append(golden)
+                if run_cli(["verify", "--config", str(path), "--transcript", str(golden)])[0] != 0:
+                    failing.append(golden)
     for golden in differ:
         print(f"differs: {golden.name}")
     for golden in broken:
         print(f"does not round-trip: {golden.name}")
-    return 1 if differ or broken else 0
+    for golden in failing:
+        print(f"does not verify: {golden.name}")
+    return 1 if differ or broken or failing else 0
 
 
 if __name__ == "__main__":
