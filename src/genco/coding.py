@@ -95,9 +95,7 @@ def decode_prefix_code(z: int) -> tuple[int, ...]:
             z //= p
             e += 1
         if e == 0:
-            if z != 1:
-                raise MalformedCodeElement(z)
-            break
+            raise MalformedCodeElement(z)
         digits.append(e - 1)
         if z == 1:
             break

@@ -212,12 +212,19 @@ def contains(T: HechlerCondition, u) -> bool:
 def _contains(T: HechlerCondition, u: Node) -> bool:
     if is_prefix(u, T.stem):
         return True
-    if not is_prefix(T.stem, u):
-        return False
+    return is_prefix(T.stem, u) and _first_exit(T, u) is None
+
+
+def _first_exit(T: HechlerCondition, u: Node) -> int | None:
+    """The index of the first entry of u, past T's stem, that T does not
+    admit; None when T admits them all.  u must extend T's stem, and is
+    sliced only to read an exclusion atom."""
+    floor, atoms = T.floor, T.exclusions
     for i in range(len(T.stem), len(u)):
-        if not T.admits_step(u[:i], u[i]):
-            return False
-    return True
+        z = u[i]
+        if z <= _floor_at(floor, i) or (atoms and z in T.exclusion_at(u[:i])):
+            return i
+    return None
 
 
 def excluded_successors(T: HechlerCondition, t) -> tuple[int, ...]:
@@ -334,19 +341,16 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     if T2 is T1:
         return _YES
     s2, s1 = T2.stem, T1.stem
-    n1 = len(s1)
-    if s2 is not s1 and s2[:n1] != s1:
+    if s2 is not s1 and s2[: len(s1)] != s1:
         if is_prefix(s2, s1):
             z = T2.least_step(s2, skip=(s1[len(s2)],))
             return ExtendsAnswer(witness=s2 + (z,))
         return ExtendsAnswer(witness=s2)
     # s2 extends s1, so only its new entries can leave T1; the first that
     # does ends the shortest prefix of s2 missing from T1
-    f1 = T1.floor
-    for i in range(n1, len(s2)):
-        z = s2[i]
-        if z <= _floor_at(f1, i) or (T1.exclusions and z in T1.exclusion_at(s2[:i])):
-            return ExtendsAnswer(witness=s2[: i + 1])
+    i = _first_exit(T1, s2)
+    if i is not None:
+        return ExtendsAnswer(witness=s2[: i + 1])
     for key, steps in T1.exclusions:
         if not is_prefix(s2, key) or not _contains(T2, key):
             continue
@@ -356,8 +360,8 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
         if bad is not None:
             return ExtendsAnswer(witness=key + (bad,))
     # with equal floors every step of T2 clears T1's floor: no gap
-    if f1 is not None and T2.floor != f1:
-        witness = floor_gap_witness(T2, f1)
+    if T1.floor is not None and T2.floor != T1.floor:
+        witness = floor_gap_witness(T2, T1.floor)
         if witness is not None:
             return ExtendsAnswer(witness=witness)
     return _YES

@@ -7,12 +7,14 @@ A dense set is presented in one of two runtime shapes:
   ascending, unbounded enumeration `good_successors(s)` of first steps
   that make progress toward S.  Honesty contract: the enumeration is
   infinite and, off S, every enumerated step strictly decreases the
-  reachability rank of the node.
+  reachability rank of the node.  `node_class(s)`, the memo key of
+  `rank_bounded`, is s itself unless a set collapses more.
 * pruning: a `refine(T)` returning a member below T with the same stem.
 
 `extend_in_A` realises the central search: it meets a dense set from any
-condition while keeping every new stem entry outside a co-infinite help
-set A.  Off S the enumerated progress steps are infinite while the
+condition, checking once for both shapes that the member's stem is the
+requested node, while keeping every new stem entry outside a co-infinite
+help set A.  Off S the enumerated progress steps are infinite while the
 exclusions of T and the members of A thin them out only finitely /
 co-infinitely, so an honest descent always finds a legal avoided step
 and strictly decreases rank; the fuel budget merely converts dishonest
@@ -44,6 +46,8 @@ from .serialize import (
     nat_list,
     nonempty_list,
     printable,
+    quoted,
+    render_seq,
     str_digit_limit,
 )
 
@@ -66,10 +70,10 @@ class StemBasedDenseSet(DenseSet):
         raise NotImplementedError
 
     def node_class(self, s: Node):
-        """Optional memoisation key: nodes with equal classes must have
-        identical witness/successor behaviour along all extensions.
-        Return None to disable collapsing."""
-        return None
+        """Memoisation key: nodes with equal classes must have identical
+        witness/successor behaviour along all extensions.  The default
+        class is the node itself, which collapses nothing."""
+        return s
 
 
 class PruningDenseSet(DenseSet):
@@ -264,24 +268,20 @@ def rank_bounded(
     steps per node; None if no such r.
 
     For honest enumerations the result is an upper bound on the true
-    reachability rank.  Nodes are collapsed through `node_class` when
-    the dense set provides one.
+    reachability rank.  Nodes are memoised by `node_class`, the node
+    itself unless the dense set collapses more.
     """
     if not isinstance(D, StemBasedDenseSet):
         raise TypeError("rank is defined for stem-based dense sets")
     t = as_node(t)
     memo: dict = {}
 
-    def key(s: Node):
-        c = D.node_class(s)
-        return ("node", s) if c is None else ("class", c)
-
     def search(s: Node, cap: int) -> int | None:
         if D.member_witness(s) is not None:
             return 0
         if cap <= 0:
             return None
-        k = (key(s), cap)
+        k = (D.node_class(s), cap)
         if k in memo:
             return memo[k]
         best: int | None = None
@@ -306,48 +306,40 @@ def extend_in_A(
 ) -> HechlerCondition:
     """A member of D below T whose new stem entries all avoid A.
 
-    Pruning sets are met in place (stem unchanged).  For stem-based sets
-    the search walks from the stem of T: at a node with a member
-    witness, the witness is intersected with T restricted to that node;
-    otherwise the enumerated progress steps are scanned in ascending
-    order for the least one that is a legal step in T and lies outside
-    A.  A may be None, which disables the avoidance clause.  The walk
-    stays inside T, so each probe tests only its own step.
+    Both shapes give a member W whose stem must be the requested node t:
+    a pruning set's `refine(T)` at T's stem, or a stem-based set's
+    witness at the first node t of a walk from T's stem that has one.
+    Below a node with none, the walk takes the least enumerated progress
+    step that is legal in T and lies outside A (None disables avoidance);
+    it stays inside T, so each probe tests only its own step.  W's stem
+    is checked once, and W meets T restricted to t.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    if isinstance(D, PruningDenseSet):
-        refined = D.refine(T)
-        result = meet(refined, T)
-        if result is None or (result.stem is not T.stem and result.stem != T.stem):
-            raise WitnessStemMismatch("refine changed the stem or killed it")
-        return result
-    if not isinstance(D, StemBasedDenseSet):
-        raise TypeError(f"not a dense-set presentation: {D!r}")
     t = T.stem
-    budget = fuel
-    while True:
-        W = D.member_witness(t)
-        if W is not None:
-            if W.stem is not t and W.stem != t:
-                raise WitnessStemMismatch(
-                    f"witness stem {W.stem} differs from requested {t}"
-                )
-            result = meet(W, _restrict(T, t))
-            if result is None:
-                raise WitnessStemMismatch("witness incompatible with its own stem")
-            return result
-        for z in D.good_successors(t):
-            budget -= 1
-            if budget <= 0:
-                raise FuelExhausted(
-                    f"no legal avoided successor of {t} within {fuel} probes"
-                )
-            if T.admits_step(t, z) and (A is None or not A.member(z)):
-                t = t + (z,)
-                break
-        else:
-            raise FuelExhausted(f"successor enumeration of {t} ended early")
+    if isinstance(D, PruningDenseSet):
+        W = D.refine(T)
+    elif isinstance(D, StemBasedDenseSet):
+        budget = fuel
+        while (W := D.member_witness(t)) is None:
+            for z in D.good_successors(t):
+                budget -= 1
+                if budget <= 0:
+                    raise FuelExhausted(
+                        f"no legal avoided successor of {quoted(render_seq(t))} within {fuel} probes"
+                    )
+                if T.admits_step(t, z) and (A is None or not A.member(z)):
+                    t = t + (z,)
+                    break
+            else:
+                raise FuelExhausted(f"successor enumeration of {quoted(render_seq(t))} ended early")
+    else:
+        raise TypeError(f"not a dense-set presentation: {D!r}")
+    if W.stem is not t and W.stem != t:
+        raise WitnessStemMismatch(
+            f"witness stem {quoted(render_seq(W.stem))} differs from requested {quoted(render_seq(t))}"
+        )
+    return meet(W, _restrict(T, t))
 
 
 def code_step(T: HechlerCondition, A, m: int, fuel: int = DEFAULT_FUEL) -> HechlerCondition:

@@ -243,7 +243,5 @@ def build_at(path: str, make, *args):
     """`make(*args)`, with a ValueError it raises reported at `path`."""
     try:
         return make(*args)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None

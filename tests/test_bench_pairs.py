@@ -1,9 +1,11 @@
-"""The summary of `tools/bench_pairs.py`, on canned result lines."""
+"""The summary of `tools/bench_pairs.py`, on canned result lines, and the
+commits it records."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 
@@ -72,3 +74,18 @@ def test_regression_past_the_bound_and_unpaired_seeds():
 def test_seed_lists():
     assert bench_pairs.parse_seeds("1-4,9") == [1, 2, 3, 4, 9]
     assert bench_pairs.parse_seeds("3") == [3]
+
+
+def test_commits_are_read_from_each_checkout(tmp_path, monkeypatch):
+    # git looks no higher than tmp_path for a work tree
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.git_commit(plain) is None
+    repo = tmp_path / "repo"
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True).stdout.strip()
+    assert len(head) == 40 and bench_pairs.git_commit(repo) == head

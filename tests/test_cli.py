@@ -354,6 +354,24 @@ class TestCommands:
         code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert code == EXIT_OK and out.endswith("PASS\n")
 
+    @pytest.mark.parametrize("command, cfg, fuel, err", [
+        ("build", [], None, "config error at <root>: expected an object"),
+        ("cohen", _edit(COHEN_CFG, seed=-1), None, "config error at seed: expected a natural number"),
+        ("build", COHEN_CFG, None, "config error at poset: build requires a hechler config"),
+        ("plain", COHEN_CFG, None, "config error at poset: plain requires a hechler config"),
+        ("cohen", HECHLER_CFG, None, "config error at poset: cohen requires a cohen config"),
+        ("build", {k: v for k, v in HECHLER_CFG.items() if k != "target"}, None,
+         "config error at target: build requires a target"),
+        ("build", HECHLER_CFG, "0", "config error at GENCO_FUEL: must be positive"),
+    ], ids=["root-list", "negative-seed", "build-cohen", "plain-cohen", "cohen-hechler", "no-target", "fuel-0"])
+    def test_config_guards(self, tmp_path, monkeypatch, command, cfg, fuel, err):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        if fuel is not None:
+            monkeypatch.setenv("GENCO_FUEL", fuel)
+        got = run_cli([command, "--config", str(cf), "--out", str(tmp_path / "t")])
+        assert got == (EXIT_CONFIG, "", err + "\n")
+
 
 class TestVerifyMode:
     """A hechler transcript is coded when its HELP or TARGET header is
@@ -740,6 +758,24 @@ class TestTooLarge:
         tf.write_text(write_pair_transcript(t))
         code, out, err, seconds = run_genco(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert (code, out, err) == (EXIT_OK if met else EXIT_VERIFY, "\n".join(report.lines()) + "\n", "")
+        assert seconds < 2
+
+    def test_fuel_message_quotes_a_capped_node(self, tmp_path):
+        # the walk toward a 10^6-entry stem stops at the fuel, two probes
+        # (the even 0, then 1) per entry; the message quotes the head of
+        # the node it reached, not the whole node
+        cfg = json.loads((CONFIG_DIR / "build_evens_roster4.json").read_text())
+        cfg.update(dense=[{"type": "stem_length", "n": 1_000_000}], steps=1)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        code, out, err, seconds = run_genco(["build", "--config", str(cf), "--out", str(tmp_path / "t")], fuel="2000")
+        assert code == EXIT_FUEL and out == "" and "Traceback" not in err
+        node = f"[{','.join(['1'] * 999)}]"
+        assert err == (
+            f"fuel exhausted: no legal avoided successor of {node[:QUOTE_CAP]!r}... "
+            f"({len(node)} characters) within 2000 probes (step 0)\n"
+        )
+        assert len(err) < 2 * QUOTE_CAP + 100
         assert seconds < 2
 
     def test_decode_large_prime(self, tmp_path):

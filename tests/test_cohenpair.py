@@ -81,6 +81,22 @@ class TestBuild:
             build_pair([Broken()], [], EventuallyPeriodicSeq((1,), (0,)), 1)
         assert info.value.stage == 0
 
+    def test_dropped_bit_reported(self):
+        # stage 0 starts from the empty string; stage 1 drops the marker
+        class Dropping(CohenDense):
+            def member(self, p):
+                return True
+
+            def extend(self, p):
+                return p[:-1]
+
+            def config(self):
+                return {"type": "min_len", "n": 0}
+
+        with pytest.raises(DenseContractError, match="^extend did not return an extension$") as info:
+            build_pair([Dropping()], [], EventuallyPeriodicSeq((1,), (0,)), 2)
+        assert info.value.stage == 1
+
     def test_extension_past_fuel(self):
         # a stage whose extension would pass the fuel raises before it is built
         x = EventuallyPeriodicSeq((1,), (0,))

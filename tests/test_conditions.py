@@ -525,6 +525,15 @@ class TestExtendsA:
         T = HechlerCondition((2,))
         assert extends_A(T, T, self.A)
 
+    def test_inclusion_failure_keeps_the_witness(self):
+        # extends says NO first: its witness comes back with the reason,
+        # though (1, 3, 4) also puts the even 4 in its stem
+        T1 = HechlerCondition((1,), {(1,): (3,)})
+        for T2 in (HechlerCondition((1, 3, 4)), HechlerCondition((2,)), FULL_TREE):
+            inc = extends(T2, T1)
+            assert not inc
+            assert extends_A(T2, T1, self.A) == (inc.witness, "inclusion")
+
     def test_odd_restrict_allowed(self):
         assert extends_A(restrict(FULL_TREE, (1, 3)), FULL_TREE, self.A)
 

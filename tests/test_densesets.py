@@ -32,7 +32,8 @@ from genco import (
     eta,
     rank_bounded,
 )
-from genco.densesets import StemBasedDenseSet
+from genco.densesets import PruningDenseSet, StemBasedDenseSet
+from genco.serialize import render_seq
 from conftest import random_condition, random_dense, random_help
 import oracles
 
@@ -192,6 +193,53 @@ class TestExtendInA:
 
         with pytest.raises(WitnessStemMismatch):
             extend_in_A(FULL_TREE, Lying(), None)
+
+    @pytest.mark.parametrize("stem", [(2,), (1, 5), ()], ids=["incomparable", "longer", "shorter"])
+    def test_refine_must_keep_the_stem(self, stem):
+        # the one member check of both shapes: a refine off T's stem
+        # raises however the stems compare
+        class Moving(PruningDenseSet):
+            def refine(self, T):
+                return HechlerCondition(stem)
+
+        with pytest.raises(WitnessStemMismatch) as info:
+            extend_in_A(HechlerCondition((1,)), Moving(), EVENS)
+        assert str(info.value) == f"witness stem '{render_seq(stem)}' differs from requested '[1]'"
+
+    def test_finite_enumeration_under_the_floor_ends_early(self):
+        class Short(StemBasedDenseSet):
+            def member_witness(self, s):
+                return None
+
+            def good_successors(self, s):
+                return iter(range(3))
+
+        T = HechlerCondition((4,), (), FloorRule((), 0, 5))
+        with pytest.raises(FuelExhausted, match=r"^successor enumeration of '\[4\]' ended early$"):
+            extend_in_A(T, Short(), None)
+
+    def test_neither_shape_is_refused(self):
+        with pytest.raises(TypeError, match="not a dense-set presentation"):
+            extend_in_A(FULL_TREE, StemLengthSet(3).config(), None)
+
+    def test_default_node_class_ranks_like_its_delegate(self):
+        # a set that keeps the default class, the node itself, memoises
+        # per node and ranks as the set it delegates to
+        class Delegating(StemBasedDenseSet):
+            inner = StemLengthSet(3)
+
+            def member_witness(self, s):
+                return self.inner.member_witness(s)
+
+            def good_successors(self, s):
+                return self.inner.good_successors(s)
+
+        D = Delegating()
+        for t in [(), (5,), (1, 2), (1, 2, 3), (0, 0, 0, 0)]:
+            assert D.node_class(t) == t
+            for max_rank, width in [(16, 64), (2, 2), (1, 4), (0, 1)]:
+                want = rank_bounded(D.inner, t, max_rank, width)
+                assert rank_bounded(D, t, max_rank, width) == want
 
     def test_concurrent_calls_agree(self):
         # StemLengthSet and EVENS keep no cache; the prime table and

@@ -23,6 +23,8 @@ BENCHMARK.json:
 - `within_bound`: the change's median is no worse than the parent's by
   more than the metric's bound;
 and `runs`, every result line, from which all of it can be recomputed.
+`parent_commit` and `change_commit` name each checkout's commit (null
+when it is not a git work tree).
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int, secon
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(args)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
     return lines[-1]
+
+
+def git_commit(checkout: Path) -> str | None:
+    """The commit checked out in `checkout`; None when it is not a git work tree."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True, check=False
+        )
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _quartiles(vals: list[float]) -> list[float]:
@@ -136,6 +149,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {line}", file=sys.stderr)
     result = {
         "description": __doc__.split("\n\n", 2)[2].strip(),
+        "parent_commit": git_commit(sides["parent"]),
+        "change_commit": git_commit(sides["change"]),
         "command": " ".join(bench["command"]) + f" --workload W --seed N --seconds {args.seconds:g} --trace 0",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}",
         "workloads": summarize(runs, bench["end_to_end"]),
