@@ -117,9 +117,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, fragments) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(fragments)
 
 
 def _fuel() -> int:
@@ -146,7 +146,9 @@ def _cmd_build(args, out) -> int:
             raise ConfigError("target", "build requires a target")
         A, x = cfg.help_set(), cfg.target()
     t = generic.build_coded_generic(cfg.roster(), A, x, cfg.steps, _fuel())
-    _write(args.out, generic.write_transcript(t))
+    # opened once the build is done, so a failed build leaves no file;
+    # each fragment is written as it is rendered
+    _write(args.out, generic.transcript_fragments(t))
     print(render_seq(t.g_prefix), file=out)
     return EXIT_OK
 
@@ -157,7 +159,7 @@ def _cmd_cohen(args, out) -> int:
         raise ConfigError("poset", "cohen requires a cohen config")
     r1, r2 = cfg.cohen_rosters()
     c1, c2, t = cohenpair.build_pair(r1, r2, cfg.target(), cfg.steps, fuel=_fuel())
-    _write(args.out, cohenpair.write_pair_transcript(t))
+    _write(args.out, (cohenpair.write_pair_transcript(t),))
     print(f"C1 {render_bits(c1)}", file=out)
     print(f"C2 {render_bits(c2)}", file=out)
     return EXIT_OK

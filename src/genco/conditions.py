@@ -338,16 +338,22 @@ def extends(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
     of T2 at or above its stem to fall to or below T1's floor.  No
     carries a witness node in T2 - T1.  Every YES is one shared answer.
     """
-    if T2 is T1:
-        return _YES
     s2, s1 = T2.stem, T1.stem
     if s2 is not s1 and s2[: len(s1)] != s1:
         if is_prefix(s2, s1):
             z = T2.least_step(s2, skip=(s1[len(s2)],))
             return ExtendsAnswer(witness=s2 + (z,))
         return ExtendsAnswer(witness=s2)
-    # s2 extends s1, so only its new entries can leave T1; the first that
-    # does ends the shortest prefix of s2 missing from T1
+    return _extends_from_stem(T2, T1)
+
+
+def _extends_from_stem(T2: HechlerCondition, T1: HechlerCondition) -> ExtendsAnswer:
+    """`extends` for a T2 whose stem is known to extend T1's."""
+    if T2 is T1:
+        return _YES
+    # only the new entries of T2's stem can leave T1; the first that does
+    # ends the shortest prefix of that stem missing from T1
+    s2 = T2.stem
     i = _first_exit(T1, s2)
     if i is not None:
         return ExtendsAnswer(witness=s2[: i + 1])
@@ -385,15 +391,15 @@ def render_condition(T: HechlerCondition) -> str:
     ``stem=[a,b];excl{[k]:{z1,z2};...};floor(table=[...],a=A,b=B)`` with
     keys in lexicographic order, steps ascending, ``floor(-)`` if absent.
     """
-    return ConditionCodec().render(T)
+    return ConditionCodec().render(0, T.stem, T.exclusions, T.floor)
 
 
-def _render_exclusions(T: HechlerCondition) -> str:
-    if not T.exclusions:
+def _render_exclusions(exclusions) -> str:
+    if not exclusions:
         return "excl{}"
     excl = ";".join(
         f"{render_seq(key)}:{{{','.join(map(str, steps))}}}"
-        for key, steps in T.exclusions
+        for key, steps in exclusions
     )
     return f"excl{{{excl}}}"
 
@@ -407,43 +413,48 @@ def _render_floor(floor: FloorRule | None) -> str:
 def parse_condition(text: str) -> HechlerCondition:
     """Inverse of `render_condition`; it accepts only the text that
     `render_condition` writes."""
-    return ConditionCodec().parse(text)
+    _, stem, exclusions, floor = ConditionCodec().parse(text)
+    return HechlerCondition._trusted(stem, exclusions, floor)
 
 
 class ConditionCodec:
     """`render_condition` and `parse_condition` for the conditions of one
-    transcript, in line order.
+    transcript, in line order, each given or read as a delta from the
+    one before: `(keep, new, exclusions, floor)`, where the stem is the
+    last stem cut to `keep` entries plus the entries `new`.
 
-    Stems go through a `SeqCodec`, so a stem that extends the last one
-    costs only its new entries, and floor texts are memoized.  A text
-    equal to the last one parsed gives the same (immutable) condition
-    again.  Parsing accepts only the text `render` writes: atoms and
-    floors must render back to their own text, and every error is
-    ``malformed condition text``.  Rendering the condition object last
-    rendered or parsed gives its text again, and parsing the text last
-    parsed or rendered gives its condition again.  Use one instance per
-    direction and per transcript.
+    Stems go through a `SeqCodec`, so neither direction holds or builds
+    a whole stem, and floor texts are memoized.  Parsing accepts only the
+    text `render` writes: atoms and floors must render back to their own
+    text, every atom key must extend the stem, and every error is
+    ``malformed condition text``.  A text equal to the last one parsed
+    gives the last delta again, keeping every entry and adding none, and
+    rendering the last delta's atoms and floor objects with an unchanged
+    stem gives the last text again.  Use one instance per direction and
+    per transcript.
     """
 
     def __init__(self):
         self._stems = SeqCodec()
         self._floor_texts: dict[FloorRule | None, str] = {}
         self._floors: dict[str, FloorRule | None] = {}
-        self._text: str | None = None  # the last condition rendered or parsed, and its value
-        self._cond: HechlerCondition | None = None
+        # the last text rendered or parsed, and the parts it was made of
+        self._text = self._stem = self._excl = self._floor = None
+        self._repeat: tuple | None = None
 
-    def render(self, T: HechlerCondition) -> str:
-        if T is not self._cond:
-            floor = self._floor_texts.get(T.floor)
-            if floor is None:
-                floor = self._floor_texts[T.floor] = _render_floor(T.floor)
-            self._text = f"stem={self._stems.render(T.stem)};{_render_exclusions(T)};{floor}"
-            self._cond = T
+    def render(self, keep: int, new, exclusions, floor: FloorRule | None) -> str:
+        stem = self._stems.render(keep, new)
+        if stem is not self._stem or exclusions is not self._excl or floor is not self._floor:
+            floor_text = self._floor_texts.get(floor)
+            if floor_text is None:
+                floor_text = self._floor_texts[floor] = _render_floor(floor)
+            self._text = f"stem={stem};{_render_exclusions(exclusions)};{floor_text}"
+            self._stem, self._excl, self._floor = stem, exclusions, floor
         return self._text
 
-    def parse(self, text: str) -> HechlerCondition:
+    def parse(self, text: str) -> tuple:
         if text == self._text:
-            return self._cond
+            return self._repeat
         # a valid stem holds no `;` and a valid floor no `}`
         head, _, floor_part = text.rpartition("};floor(")
         stem_part, excl, excl_part = head.partition(";excl{")
@@ -453,21 +464,31 @@ class ConditionCodec:
             if floor_part not in self._floors:
                 self._floors[floor_part] = _parse_floor(floor_part)
             floor = self._floors[floor_part]
-            stem = self._stems.parse(stem_part[len("stem="):])
-            if excl_part:
-                # atoms `[k]:{z1,z2}`; rendering them back checks the braces,
-                # the order and that no key or step repeats
-                atoms = (atom.partition(":{") for atom in excl_part.split(";"))
-                atoms = ((parse_seq(key), _entries(steps[:-1], steps)) for key, _, steps in atoms)
-                T = HechlerCondition(stem, atoms, floor)
-                if _render_exclusions(T) != f"excl{{{excl_part}}}":
-                    raise ValueError
-            else:
-                T = HechlerCondition._trusted(stem, (), floor)
+            stem_text = stem_part[len("stem="):]
+            keep, new = self._stems.parse(stem_text)
+            exclusions = _parse_exclusions(excl_part, stem_text) if excl_part else ()
         except ValueError as exc:
             raise ValueError(f"malformed condition text: {quoted(text)}") from exc
-        self._text, self._cond = text, T
-        return T
+        self._text, self._repeat = text, (keep + len(new), (), exclusions, floor)
+        return keep, new, exclusions, floor
+
+
+def _parse_exclusions(text: str, stem_text: str):
+    """The canonical atoms of `text`, the inside of ``excl{...}``, whose
+    keys extend the stem written `stem_text`.  Rendering them back checks
+    the braces, the order and that no key or step repeats; a key extends
+    the stem iff its text is the stem's, or the stem's head and a `,`."""
+    merged: dict[Node, set[int]] = {}
+    head = stem_text[:-1] + ","
+    for atom in text.split(";"):
+        key, _, steps = atom.partition(":{")
+        if not (stem_text == "[]" or key == stem_text or key.startswith(head)):
+            raise ValueError
+        merged.setdefault(parse_seq(key), set()).update(_entries(steps[:-1], steps))
+    exclusions = _canonical_exclusions(merged)
+    if _render_exclusions(exclusions) != f"excl{{{text}}}":
+        raise ValueError
+    return exclusions
 
 
 def _parse_floor(text: str) -> FloorRule | None:

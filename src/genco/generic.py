@@ -5,16 +5,21 @@ next dense set of the (cycled) roster while keeping every new stem entry
 outside the help set A, then extend the stem by one member of A whose
 label is the next target value.  The union of the stems is the prefix
 g; reading g's labels at its A-positions returns exactly the target
-prefix.  Every move is logged with the full resulting condition, so a
-transcript can be re-checked from scratch without re-running the
-builder.
+prefix.  Every move is logged as a transcript line that carries the full
+resulting condition, so a transcript can be re-checked from scratch
+without re-running the builder.
 
-A transcript's bytes therefore grow quadratically with the steps.  Each
-condition is rendered and parsed from the one on the line before
-through a `ConditionCodec`, so only new stem entries are converted; the
-repeated part of a line is only compared and copied, and a repeated
-condition is the previous one again.  A stem that does not extend the
-previous one is parsed in full as if it stood alone.  The parser accepts
+A transcript's bytes therefore grow quadratically with the steps, but
+a `RunTranscript` holds each line as a `RunRecord`, the delta of its
+condition from the line before: how much of the previous stem it keeps,
+its new stem entries, and its atoms and floor.  The builder records the
+entries each move appends, the writer renders each stem text from the
+one before by appending the new entries' text, and the parser reads the
+delta its `ConditionCodec` finds, so none of them copies or holds a
+whole stem per line.  A stem text that does not extend the previous one
+keeps none of it and is parsed in full as if it stood alone.  The
+verifier builds each line's condition from its delta when it reaches
+it, and so does iterating `RunTranscript.entries`.  The parser accepts
 only the text the writer writes: one spelling per number, header and
 condition, so two different texts never parse to one transcript.
 """
@@ -29,7 +34,9 @@ from .conditions import (
     _YES,
     FULL_TREE,
     ConditionCodec,
+    FloorRule,
     HechlerCondition,
+    _extends_from_stem,
     extends,
     is_prefix,
 )
@@ -43,7 +50,7 @@ CODE = "CODE"
 
 
 class TranscriptEntry(NamedTuple):
-    """One MEET or CODE line; a tuple, since a transcript holds one per line."""
+    """One MEET or CODE line with its full condition."""
 
     kind: str  # MEET or CODE
     index: int  # roster index for MEET, code counter for CODE
@@ -51,13 +58,58 @@ class TranscriptEntry(NamedTuple):
     z: int | None = None  # the coded stem entry (CODE only)
 
 
+class RunRecord(NamedTuple):
+    """One MEET or CODE line as the delta of its condition from the line
+    before: the previous stem cut to `keep` entries, then `new`, with the
+    line's own atoms and floor.  A tuple, since a transcript holds one per
+    line, and none holds a whole stem."""
+
+    kind: str  # MEET or CODE
+    index: int  # roster index for MEET, code counter for CODE
+    z: int | None  # the coded stem entry (CODE only)
+    keep: int
+    new: tuple[int, ...]
+    exclusions: tuple
+    floor: FloorRule | None
+
+
+def _conditions(records):
+    """The condition of each record, built from the one before; a record
+    that changes nothing gives the previous condition object again."""
+    T = FULL_TREE
+    for r in records:
+        stem = T.stem[: r.keep] + r.new
+        if stem is not T.stem or r.exclusions is not T.exclusions or r.floor is not T.floor:
+            T = HechlerCondition._trusted(stem, r.exclusions, r.floor)
+        yield T
+
+
 class RunTranscript(NamedTuple):
     roster_hash: str
     help_config: dict | None
     target_config: dict | None
     steps: int
-    entries: tuple[TranscriptEntry, ...]
+    records: tuple[RunRecord, ...]
     g_prefix: tuple[int, ...]
+
+    @classmethod
+    def from_entries(cls, roster_hash, help_config, target_config, steps, entries, g_prefix):
+        """The transcript of full entries.  A stem that extends the one
+        before keeps all of it, any other stem none, as the parser reads
+        them."""
+        records, prev = [], ()
+        for kind, index, T, z in entries:
+            keep = len(prev) if is_prefix(prev, T.stem) else 0
+            records.append(RunRecord(kind, index, z, keep, T.stem[keep:], T.exclusions, T.floor))
+            prev = T.stem
+        return cls(roster_hash, help_config, target_config, steps, tuple(records), g_prefix)
+
+    @property
+    def entries(self):
+        """The full entries, in line order, each condition built as it is
+        reached."""
+        for r, T in zip(self.records, _conditions(self.records)):
+            yield TranscriptEntry(r.kind, r.index, T, r.z)
 
 
 class CheckResult(NamedTuple):
@@ -105,19 +157,23 @@ def build_coded_generic(
     """Alternate roster meets (avoiding A) with coding steps for the
     first `steps` target values; the roster is cycled when shorter than
     the run.  With A = x = None the run only meets the roster: the
-    avoidance clause is vacuous and nothing is coded."""
+    avoidance clause is vacuous and nothing is coded.  Both moves only
+    append to the stem, so each record keeps the whole previous stem."""
     if steps < 0:
         raise ValueError("steps must be a natural")
     T = FULL_TREE
-    entries: list[TranscriptEntry] = []
+    records: list[RunRecord] = []
     for i in range(steps):
         try:
             if roster:
+                n = len(T.stem)
                 T = extend_in_A(T, roster[i % len(roster)], A, fuel)
-                entries.append(TranscriptEntry(MEET, i % len(roster), T))
+                records.append(RunRecord(MEET, i % len(roster), None, n, T.stem[n:], T.exclusions, T.floor))
             if A is not None:
+                n = len(T.stem)
                 T = code_step(T, A, x.value(i), fuel)
-                entries.append(TranscriptEntry(CODE, i, T, z=T.stem[-1]))
+                z = T.stem[-1]
+                records.append(RunRecord(CODE, i, z, n, (z,), T.exclusions, T.floor))
         except FuelExhausted as exc:
             exc.step = i
             raise
@@ -126,27 +182,29 @@ def build_coded_generic(
         help_config=A.config() if A is not None else None,
         target_config=x.config() if x is not None else None,
         steps=steps,
-        entries=tuple(entries),
+        records=tuple(records),
         g_prefix=T.stem,
     )
 
 
+def transcript_fragments(t: RunTranscript):
+    """The v1 text of `t` in order, in fragments: the four header lines,
+    then a head, a condition text and a line end per record, then the G
+    footer.  Each condition text is rendered from the one before."""
+    yield (f"ROSTER {t.roster_hash}\nHELP {canonical_json(t.help_config)}\n"
+           f"TARGET {canonical_json(t.target_config)}\nSTEPS {t.steps}\n")
+    render = ConditionCodec().render
+    for kind, index, z, keep, new, exclusions, floor in t.records:
+        yield f"MEET {index} " if kind == MEET else f"CODE {index} {z} "
+        yield render(keep, new, exclusions, floor)
+        yield "\n"
+    yield f"G {render_seq(t.g_prefix)}\n"
+
+
 def write_transcript(t: RunTranscript) -> str:
     """The v1 text of `t`: four header lines, one MEET or CODE line per
-    entry, and the G footer."""
-    conds = ConditionCodec()
-    out = [
-        f"ROSTER {t.roster_hash}\n",
-        f"HELP {canonical_json(t.help_config)}\n",
-        f"TARGET {canonical_json(t.target_config)}\n",
-        f"STEPS {t.steps}\n",
-    ]
-    for e in t.entries:
-        # fragments are joined once, so each condition text is copied once
-        head = f"MEET {e.index} " if e.kind == MEET else f"CODE {e.index} {e.z} "
-        out += (head, conds.render(e.condition), "\n")
-    out.append(f"G {render_seq(t.g_prefix)}\n")
-    return "".join(out)
+    record, and the G footer."""
+    return "".join(transcript_fragments(t))
 
 
 def parse_transcript(text: str) -> RunTranscript:
@@ -164,24 +222,25 @@ def parse_transcript(text: str) -> RunTranscript:
         steps = parse_nat(steps_text)
     except ValueError as exc:
         raise MalformedTranscript(f"bad header: {exc}") from exc
-    entries: list[TranscriptEntry] = []
+    records: list[RunRecord] = []
     if not lines[-1].startswith("G "):
         raise MalformedTranscript("missing footer")
-    conds = ConditionCodec()
+    parse = ConditionCodec().parse
     try:
         g = parse_seq(lines[-1][2:])
         for i, line in enumerate(lines[4:-1], start=5):
-            parts = line.split(" ")
+            # a MEET line has three fields, a CODE line four, none with a space
+            parts = line.split(" ", 3)
             if parts[0] == MEET and len(parts) == 3:
-                entries.append(TranscriptEntry(MEET, parse_nat(parts[1]), conds.parse(parts[2])))
-            elif parts[0] == CODE and len(parts) == 4:
-                index, cond, z = parse_nat(parts[1]), conds.parse(parts[3]), parse_nat(parts[2])
-                entries.append(TranscriptEntry(CODE, index, cond, z))
+                records.append(RunRecord(MEET, parse_nat(parts[1]), None, *parse(parts[2])))
+            elif parts[0] == CODE and len(parts) == 4 and " " not in parts[3]:
+                index, delta, z = parse_nat(parts[1]), parse(parts[3]), parse_nat(parts[2])
+                records.append(RunRecord(CODE, index, z, *delta))
             else:
                 raise MalformedTranscript(f"bad step on line {i}")
     except ValueError as exc:
         raise MalformedTranscript(f"bad step line: {exc}") from exc
-    return RunTranscript(rhash, help_cfg, target_cfg, steps, tuple(entries), g)
+    return RunTranscript(rhash, help_cfg, target_cfg, steps, tuple(records), g)
 
 
 def verify_transcript(
@@ -200,9 +259,10 @@ def verify_transcript(
     and label at every CODE; footer; and the decoded prefix.  `fuel`
     bounds the prime indices of the help-set lookups.
 
-    Each line costs a few `CheckResult` tuples and the checks themselves:
-    a failure's detail is formatted only when the check fails, and every
-    passing check has detail ``""``.
+    Each line's condition is built from its record when the line is
+    reached.  Each line costs a few `CheckResult` tuples and the checks
+    themselves: a failure's detail is formatted only when the check
+    fails, and every passing check has detail ``""``.
     """
     checks: list[CheckResult] = []
     append = checks.append
@@ -223,8 +283,8 @@ def verify_transcript(
 
     # structure: per step, an optional MEET (when the roster is nonempty)
     # followed by a CODE when coding is on; a forged step count builds
-    # no more of the expected list than there are entries
-    got = [(e.kind, e.index) for e in t.entries]
+    # no more of the expected list than there are records
+    got = [r[:2] for r in t.records]
     expected: list[tuple[str, int]] = []
     for i in range(min(t.steps, len(got))):
         if roster:
@@ -246,17 +306,19 @@ def verify_transcript(
     coding = A is not None and x is not None
     prev = FULL_TREE
     code_count = 0
-    for pos, (kind, index, T, z_rec) in enumerate(t.entries):
+    lines = zip(t.records, _conditions(t.records))
+    for pos, ((kind, index, z_rec, keep, new, _, _), T) in enumerate(lines):
         locus = f"entry {pos}"
-        ans = extends(T, prev)
-        # every YES is the one shared answer, and shows that the previous
-        # stem is a prefix of this one
-        chained = ans is _YES
-        if chained:
+        stem, pstem = T.stem, prev.stem
+        # a record that keeps the whole previous stem appends `new` to it,
+        # so only the rest of the chain check is left; any other falls
+        # back to the full check
+        grown = keep == len(pstem)
+        ans = _extends_from_stem(T, prev) if grown else extends(T, prev)
+        if ans is _YES:
             append(CheckResult("chain.extends", locus, True))
         else:
             append(CheckResult("chain.extends", locus, False, f"witness {ans.witness}"))
-        stem, pstem = T.stem, prev.stem
         if kind == MEET:
             if roster:
                 # only True itself passes: a truthy non-bool from a user set fails
@@ -265,14 +327,14 @@ def verify_transcript(
                 else:
                     append(CheckResult("meet.member", locus, False,
                                        f"condition not a member of dense set {index}"))
-            if (chained or is_prefix(pstem, stem)) and (
-                A is None or not any(map(member, stem[len(pstem):]))
+            if (grown or is_prefix(pstem, stem)) and (
+                A is None or not any(map(member, new if grown else stem[len(pstem):]))
             ):
                 append(CheckResult("meet.avoid", locus, True))
             else:
                 append(CheckResult("meet.avoid", locus, False, "new stem entries hit the help set"))
         else:
-            grew = len(stem) == len(pstem) + 1 and (chained or stem[:-1] == pstem)
+            grew = len(stem) == len(pstem) + 1 and (grown or stem[:-1] == pstem)
             if grew and z_rec == stem[-1]:
                 append(CheckResult("code.step", locus, True))
             else:

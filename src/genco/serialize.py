@@ -134,53 +134,54 @@ def parse_bits(text: str) -> bytes:
 
 
 class SeqCodec:
-    """`render_seq` and `parse_seq` for a run of sequences in which each
-    usually extends the one before, as the stems of a transcript do.
+    """`render_seq` and `parse_seq` for a run of sequences, each given or
+    read as a delta from the one before: the first `keep` entries of the
+    last sequence, then `new` entries.  The stems of a transcript are
+    such a run, and each usually extends the one before.
 
-    The codec keeps the last sequence, its text, and the head of that
-    text (all but the closing bracket).  A sequence that extends the last
-    one renders as the head plus its new entries.  A text that starts
-    with the head and goes on at an entry boundary (`,` or the closing
-    bracket) parses as the last sequence plus its new entries, read in
-    place by `parse_seq`'s entry reader.  Anything else goes through the
-    full `render_seq` or `parse_seq`, so every result and every error
-    message is theirs.  Use one instance per direction and per sequence
-    of a transcript, in line order.
+    The codec keeps only the last sequence's length, its text, and the
+    head of that text (all but the closing bracket), never the sequence.
+    Rendering a delta that keeps every entry appends the text of the new
+    entries to the head; a shorter `keep` cuts the head at an entry
+    boundary first.  A text that starts with the head and goes on at an
+    entry boundary (`,` or the closing bracket) parses as a delta that
+    keeps every entry, its new entries read in place by `parse_seq`'s
+    entry reader.  Any other text goes through the full `parse_seq`,
+    keeping no entry, so every value and every error message is its.  Use
+    one instance per direction and per sequence of a transcript, in line
+    order.
     """
 
     def __init__(self):
-        self._seq: tuple[int, ...] = ()
+        self._n = 0
         self._text = "[]"
-        self._head = ""  # "" while _seq is empty
+        self._head = "["
 
-    def render(self, xs) -> str:
-        if xs is self._seq:
+    def render(self, keep: int, new) -> str:
+        """The text of the last sequence cut to `keep` entries plus `new`."""
+        if keep == self._n and not new:
             return self._text
-        n = len(self._seq)
-        if n and xs[:n] == self._seq:
-            if len(xs) == n:
-                return self._text
-            text = self._head + "," + render_seq(xs[n:])[1:]
-        else:
-            text = render_seq(xs)
-        self._keep(xs, text)
-        return text
+        head = self._head
+        if keep < self._n:
+            head = ",".join(head.split(",", keep)[:keep]) or "["
+        if new:
+            head = f"{head}{',' if keep else ''}{','.join(map(str, new))}"
+        self._n, self._head, self._text = keep + len(new), head, head + "]"
+        return self._text
 
-    def parse(self, text: str) -> tuple[int, ...]:
+    def parse(self, text: str) -> tuple[int, tuple[int, ...]]:
+        """`(keep, new)`: `text` as the last sequence cut to `keep` entries
+        plus the entries `new`."""
         if text == self._text:
-            return self._seq
+            return self._n, ()
         head = self._head
         n = len(head)
-        if head and text.startswith(head) and text.startswith(",", n) and text.endswith("]"):
-            xs = self._seq + _entries(text[n + 1 : -1], text)
+        if self._n and text.startswith(head) and text.startswith(",", n) and text.endswith("]"):
+            keep, new = self._n, _entries(text[n + 1 : -1], text)
         else:
-            xs = parse_seq(text)
-        self._keep(xs, text)
-        return xs
-
-    def _keep(self, xs, text: str) -> None:
-        self._seq, self._text = xs, text
-        self._head = text[:-1] if xs else ""
+            keep, new = 0, parse_seq(text)
+        self._n, self._head, self._text = keep + len(new), text[:-1], text
+        return keep, new
 
 
 def transcript_lines(text: str) -> list[str]:

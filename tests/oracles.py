@@ -384,7 +384,7 @@ def parse_transcript(text: str) -> RunTranscript:
                 raise MalformedTranscript(f"bad step on line {i}")
     except ValueError as exc:
         raise MalformedTranscript(f"bad step line: {exc}") from exc
-    return RunTranscript(rhash, help_cfg, target_cfg, steps, tuple(entries), g)
+    return RunTranscript.from_entries(rhash, help_cfg, target_cfg, steps, entries, g)
 
 
 def write_pair_transcript(t: PairTranscript) -> str:

@@ -777,6 +777,8 @@ class TestTooLarge:
         )
         assert len(err) < 2 * QUOTE_CAP + 100
         assert seconds < 2
+        # the transcript file is opened only once the build is done
+        assert not (tmp_path / "t").exists()
 
     def test_decode_large_prime(self, tmp_path):
         hf = tmp_path / "h.json"

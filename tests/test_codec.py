@@ -2,7 +2,8 @@
 
 `tests/oracles.py` holds the codec as it was before lines were rendered
 and parsed from the previous line.  Every case here must give the same
-text, an equal transcript, or the same exception with the same message.
+text, an equal transcript, or the same exception with the same message,
+and a transcript of arbitrary stems the same verifier report.
 The pair oracle reads bit strings as tuples, so the library's pair
 transcripts are compared through `oracles.pair_as_tuples`.
 """
@@ -16,14 +17,18 @@ import pytest
 
 from genco import (
     DominateSet,
+    Evens,
+    EventuallyPeriodicSeq,
     FloorRule,
     HechlerCondition,
     MalformedTranscript,
+    StemLengthSet,
     build_coded_generic,
     build_pair,
     parse_condition,
     parse_pair_transcript,
     parse_transcript,
+    verify_transcript,
     write_pair_transcript,
     write_transcript,
 )
@@ -204,7 +209,7 @@ def test_atom_line_between_plain_lines_parses_line_for_line():
         HechlerCondition((3, 5, 8, 11), (), floor),
     )
     entries = tuple(TranscriptEntry(MEET, i, T) for i, T in enumerate(conds))
-    text = write_transcript(RunTranscript("ab", None, None, 3, entries, conds[-1].stem))
+    text = write_transcript(RunTranscript.from_entries("ab", None, None, 3, entries, conds[-1].stem))
     lines = text.splitlines()[4:-1]
     assert "excl{[3,5,8,9]:{1,4};[3,5,8,10]:{0}}" in lines[1]
     got = [e.condition for e in parse_transcript(text).entries]
@@ -252,9 +257,13 @@ def _next_bits(rng: random.Random, prev: bytes) -> bytes:
 
 
 def test_codec_matches_oracle_on_arbitrary_sequences():
-    # stems and bit strings that do not only extend, with atoms and floors
+    # stems and bit strings that do not only extend, with atoms and floors;
+    # a stem that does not extend the one before keeps none of it, so the
+    # verifier takes its full chain check there
     rng = random.Random(61)
     target = {"prefix": [], "cycle": [1]}
+    roster = [StemLengthSet(2), DominateSet(FloorRule((), 0, 3))]
+    A, x = Evens(), EventuallyPeriodicSeq((), (1,))
     for _ in range(60):
         entries, cond = [], HechlerCondition()
         for i in range(rng.randrange(1, 10)):
@@ -263,10 +272,13 @@ def test_codec_matches_oracle_on_arbitrary_sequences():
                 entries.append(TranscriptEntry(MEET, i, cond))
             else:
                 entries.append(TranscriptEntry(CODE, i, cond, z=rng.randrange(9)))
-        t = RunTranscript("ab", None, target, len(entries), tuple(entries), cond.stem)
+        t = RunTranscript.from_entries("ab", None, target, len(entries), entries, cond.stem)
         text = write_transcript(t)
         assert text == oracles.write_transcript(t)
         assert parse_transcript(text) == oracles.parse_transcript(text) == t
+        want = oracles.verify_transcript(roster, A, x, t)
+        got = verify_transcript(roster, A, x, t)
+        assert got.checks == want.checks and got.lines() == want.lines()
 
         snaps, p, q = [], b"", b""
         for i in range(rng.randrange(1, 10)):

@@ -229,8 +229,9 @@ class TestReuse:
 
     def test_render_twice(self):
         codec = ConditionCodec()
-        text = codec.render(self.T)
-        assert codec.render(self.T) is text == render_condition(self.T)
+        T = self.T
+        text = codec.render(0, T.stem, T.exclusions, T.floor)
+        assert codec.render(len(T.stem), (), T.exclusions, T.floor) is text == render_condition(T)
 
     @settings(max_examples=300)
     @given(comparable_pairs())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -53,7 +54,7 @@ class TestBuild:
 
     def test_zero_steps(self):
         t = build_coded_generic([StemLengthSet(1)], EVENS, ONES, 0)
-        assert t.g_prefix == () and t.entries == ()
+        assert t.g_prefix == () and t.records == () and list(t.entries) == []
 
     def test_plain_traces(self):
         assert build_coded_generic([StemLengthSet(2)], None, None, 1).g_prefix == (0, 0)
@@ -97,7 +98,8 @@ class TestBuild:
         # that same object again, so the writer renders it once
         cfg = parse_config((CONFIG_DIR / "build_evens_roster4.json").read_text())
         t = build_coded_generic(cfg.roster(), cfg.help_set(), cfg.target(), cfg.steps)
-        repeats = [(prev.condition, e.condition) for prev, e in zip(t.entries, t.entries[1:])
+        entries = list(t.entries)
+        repeats = [(prev.condition, e.condition) for prev, e in zip(entries, entries[1:])
                    if e.kind == "MEET" and e.condition == prev.condition]
         assert repeats and all(a is b for a, b in repeats)
 
@@ -105,6 +107,37 @@ class TestBuild:
         t = build_coded_generic([], EVENS, ONES, 3)
         assert decode(EVENS, t.g_prefix) == (1, 1, 1)
         assert all(e.kind == "CODE" for e in t.entries)
+
+
+def _retained(fn, *args) -> int:
+    """The bytes `fn(*args)` allocates and still holds while its result
+    is alive."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)  # noqa: F841  (kept alive while measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("phase", ["build", "parse"])
+def test_held_memory_is_linear_in_the_steps(phase):
+    # a record holds its line's new stem entries, not its whole stem, so a
+    # run of twice the steps holds about twice the memory; a full stem per
+    # entry made it about four times.  Both step counts are past the small
+    # ints Python caches, and the parsed text itself is not counted.
+    raw = json.loads((CONFIG_DIR / "build_evens_roster4.json").read_text())
+    held = []
+    for steps in (512, 1024):
+        cfg = parse_config(json.dumps(raw | {"steps": steps}))
+        args = cfg.roster(), cfg.help_set(), cfg.target(), steps
+        t = build_coded_generic(*args)  # fills the per-object caches first
+        if phase == "build":
+            held.append(_retained(build_coded_generic, *args))
+        else:
+            text = write_transcript(t)
+            held.append(_retained(parse_transcript, text))
+    assert held[1] <= 2.5 * held[0], held
 
 
 class TestTranscriptText:

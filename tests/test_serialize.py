@@ -69,7 +69,7 @@ def test_parse_seq_accepts_exactly_what_render_seq_writes():
                 accepted += 1
             codec = SeqCodec()
             codec.parse("[1,0]")
-            assert _outcome(codec.parse, text) == got
+            assert _outcome(lambda text: _parsed_after(codec, (1, 0), text), text) == got
     # and it accepts every such rendering: entries of the digits 0 and 1
     nats = [0] + [int(bin(k)[2:]) for k in range(1, 32)]
     written = {render_seq(xs) for m in range(4) for xs in itertools.product(nats, repeat=m)}
@@ -121,8 +121,14 @@ def _outcome(parse, text):
 )
 def test_seq_codec_parses_like_parse_seq(text):
     codec = SeqCodec()
-    assert codec.parse("[1,2]") == (1, 2)
-    assert _outcome(codec.parse, text) == _outcome(parse_seq, text)
+    assert codec.parse("[1,2]") == (0, (1, 2))
+    assert _outcome(lambda text: _parsed_after(codec, (1, 2), text), text) == _outcome(parse_seq, text)
+
+
+def _parsed_after(codec: SeqCodec, prev: tuple, text: str) -> tuple:
+    """The sequence a codec whose last sequence is `prev` reads from `text`."""
+    keep, new = codec.parse(text)
+    return prev[:keep] + new
 
 
 @pytest.mark.parametrize(
@@ -169,8 +175,17 @@ def test_parse_errors_quote_a_capped_head():
 
 
 def test_codecs_render_like_full_renderers():
-    seqs = SeqCodec()
-    for xs in [(), (1, 2), (1, 2), (1, 2, 30), (1,), (4, 2, 30, 7, 7), (), (0,)]:
-        assert seqs.render(xs) == render_seq(xs)
+    # each sequence as the delta that keeps the common prefix with the last
+    seqs, prev = SeqCodec(), ()
+    for xs in [(), (1, 2), (1, 2), (1, 2, 30), (1,), (4, 2, 30, 7, 7), (4, 2, 9), (), (0,)]:
+        keep = next((i for i, (a, b) in enumerate(zip(prev, xs)) if a != b), min(len(prev), len(xs)))
+        assert seqs.render(keep, xs[keep:]) == render_seq(xs)
+        prev = xs
         bits = tuple(x % 2 for x in xs)
         assert render_bits(bytes(bits)) == oracles.render_bits(bits)
+    # every cut of a sequence, with and without new entries
+    for keep in range(4):
+        for new in ((), (9,), (10, 0)):
+            seqs = SeqCodec()
+            seqs.render(0, (3, 10, 0))
+            assert seqs.render(keep, new) == render_seq((3, 10, 0)[:keep] + new)

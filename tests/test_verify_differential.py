@@ -211,7 +211,8 @@ def test_code_line_repeating_its_meet_verifies_like_oracle():
     z = lines[7].split(" ")[2]
     lines[7] = " ".join(lines[7].split(" ")[:3] + lines[6].split(" ")[2:])
     t = parse_transcript("\n".join(lines) + "\n")
-    assert t.entries[3].condition is t.entries[2].condition
+    entries = list(t.entries)
+    assert entries[3].condition is entries[2].condition
     assert not assert_same_verify(roster, Evens(), x, t)
     report = verify_transcript(roster, Evens(), x, t)
     # the next MEET then carries the coded entry as a new stem entry
