@@ -159,7 +159,7 @@ def _cmd_cohen(args, out) -> int:
         raise ConfigError("poset", "cohen requires a cohen config")
     r1, r2 = cfg.cohen_rosters()
     c1, c2, t = cohenpair.build_pair(r1, r2, cfg.target(), cfg.steps, fuel=_fuel())
-    _write(args.out, (cohenpair.write_pair_transcript(t),))
+    _write(args.out, cohenpair.pair_transcript_fragments(t))  # as in `_cmd_build`
     print(f"C1 {render_bits(c1)}", file=out)
     print(f"C2 {render_bits(c2)}", file=out)
     return EXIT_OK

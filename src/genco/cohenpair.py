@@ -15,12 +15,13 @@ never tracked by the cyclic GC.  Membership tests, extension checks
 and the snapshot chain are C-level bytes operations (`in`, `endswith`,
 `startswith`, `+`).
 
-A pair transcript holds both end-of-stage snapshots on every STAGE
-line, so its bytes grow quadratically with the stages.  Each snapshot
-is rendered and parsed in full by `render_bits` and `parse_bits`, each
-a few C-level passes over the string.  Stage numbers are read by
-`parse_nat` and the target by `parse_json`, so each field has one
-spelling, the writer's.
+A pair transcript's STAGE lines repeat both end-of-stage snapshots, so
+its bytes grow quadratically with the stages, but a `PairTranscript`
+holds per line only the bits each snapshot adds (a `PairRecord`).  The
+writer and parser work on these deltas through `BitsCodec`; the
+verifier and `PairTranscript.snapshots` build the snapshots one stage
+at a time.  Stage numbers are read by `parse_nat` and the target by
+`parse_json`, so each field has one spelling, the writer's.
 """
 
 from __future__ import annotations
@@ -30,19 +31,9 @@ from typing import NamedTuple
 from .coding import EventuallyPeriodicSeq
 from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
 from .generic import CheckResult, VerificationReport
-from .serialize import (
-    canonical_json,
-    check_keys,
-    nat,
-    parse_bits,
-    parse_json,
-    parse_nat,
-    quoted,
-    render_bits,
-    roster_hash,
-    tagged_line,
-    transcript_lines,
-)
+from .serialize import BitsCodec, canonical_json, check_keys, nat, parse_bits, parse_json, parse_nat
+from .serialize import quoted, render_bits, roster_hash, tagged_line, transcript_lines
+
 
 Bits = bytes  # 0/1 values
 
@@ -163,14 +154,45 @@ class PairStage(NamedTuple):
     q: Bits
 
 
+class PairRecord(NamedTuple):
+    """A STAGE line: the previous p cut to `p_keep` bits, then `p_new`;
+    likewise q."""
+
+    index: int
+    p_keep: int
+    p_new: Bits
+    q_keep: int
+    q_new: Bits
+
+
 class PairTranscript(NamedTuple):
     roster1_hash: str
     roster2_hash: str
     target_config: dict
     stages: int
-    snapshots: tuple[PairStage, ...]
+    records: tuple[PairRecord, ...]
     c1: Bits
     c2: Bits
+
+    @classmethod
+    def from_snapshots(cls, roster1_hash, roster2_hash, target_config, stages, snapshots, c1, c2):
+        """The transcript of full snapshots; each keeps all of the one
+        before if it extends it, else none, as the parser reads them."""
+        records, p, q = [], b"", b""
+        for index, p2, q2 in snapshots:
+            p_keep = len(p) if p2.startswith(p) else 0
+            q_keep = len(q) if q2.startswith(q) else 0
+            records.append(PairRecord(index, p_keep, p2[p_keep:], q_keep, q2[q_keep:]))
+            p, q = p2, q2
+        return cls(roster1_hash, roster2_hash, target_config, stages, tuple(records), c1, c2)
+
+    @property
+    def snapshots(self):
+        """The full snapshots, in line order, each built as it is reached."""
+        p = q = b""
+        for index, p_keep, p_new, q_keep, q_new in self.records:
+            p, q = p[:p_keep] + p_new, q[:q_keep] + q_new
+            yield PairStage(index, p, q)
 
 
 def _checked_extend(D: CohenDense, p: Bits, stage: int, fuel: int) -> Bits:
@@ -203,11 +225,10 @@ def build_pair(
     for i, b in enumerate(x.prefix + x.cycle):
         if b not in (0, 1):
             raise ValueError(f"target entry {b} at {i} is not a bit")
-    p: Bits = b""
-    q: Bits = b""
-    j = 0
-    snaps: list[PairStage] = []
+    p, q, j = b"", b"", 0
+    records: list[PairRecord] = []
     for i in range(stages):
+        n = len(p)
         if roster1:
             p2 = _checked_extend(roster1[i % len(roster1)], p, i, fuel)
             region = bytearray(len(p2) - len(p))  # q's bits over p's new region
@@ -223,17 +244,9 @@ def build_pair(
         p += b"\x01"
         q += bytes((x.value(j),))
         j += 1
-        snaps.append(PairStage(i, p, q))
-    transcript = PairTranscript(
-        roster1_hash=roster_hash([D.config() for D in roster1]),
-        roster2_hash=roster_hash([D.config() for D in roster2]),
-        target_config=x.config(),
-        stages=stages,
-        snapshots=tuple(snaps),
-        c1=p,
-        c2=q,
-    )
-    return p, q, transcript
+        records.append(PairRecord(i, n, p[n:], n, q[n:]))
+    h1, h2 = (roster_hash([D.config() for D in roster]) for roster in (roster1, roster2))
+    return p, q, PairTranscript(h1, h2, x.config(), stages, tuple(records), p, q)
 
 
 def decode_pair(c1: Bits, c2: Bits, count: int) -> tuple[int, ...]:
@@ -249,20 +262,21 @@ def decode_pair(c1: Bits, c2: Bits, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def pair_transcript_fragments(t: PairTranscript):
+    """The text of `t` in fragments, each snapshot text rendered from
+    the one before."""
+    yield (f"ROSTER1 {t.roster1_hash}\nROSTER2 {t.roster2_hash}\n"
+           f"TARGET {canonical_json(t.target_config)}\nSTAGES {t.stages}\n")
+    render_p, render_q = BitsCodec().render, BitsCodec().render
+    for index, p_keep, p_new, q_keep, q_new in t.records:
+        yield from (f"STAGE {index} P ", render_p(p_keep, p_new), " Q ", render_q(q_keep, q_new), "\n")
+    yield f"C1 {render_bits(t.c1)}\nC2 {render_bits(t.c2)}\n"
+
+
 def write_pair_transcript(t: PairTranscript) -> str:
-    """The text of `t`: four header lines, one STAGE line per snapshot,
+    """The text of `t`: four header lines, one STAGE line per record,
     and the C1 and C2 footers."""
-    lines = [
-        f"ROSTER1 {t.roster1_hash}",
-        f"ROSTER2 {t.roster2_hash}",
-        f"TARGET {canonical_json(t.target_config)}",
-        f"STAGES {t.stages}",
-    ]
-    for s in t.snapshots:
-        lines.append(f"STAGE {s.index} P {render_bits(s.p)} Q {render_bits(s.q)}")
-    lines.append(f"C1 {render_bits(t.c1)}")
-    lines.append(f"C2 {render_bits(t.c2)}")
-    return "\n".join(lines) + "\n"
+    return "".join(pair_transcript_fragments(t))
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:
@@ -274,17 +288,18 @@ def parse_pair_transcript(text: str) -> PairTranscript:
         h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
         target = parse_json(tagged_line(lines, 2, "TARGET"))
         stages = parse_nat(tagged_line(lines, 3, "STAGES"))
-        snaps = []
+        records = []
+        parse_p, parse_q = BitsCodec().parse, BitsCodec().parse
         for line in lines[4:-2]:
             parts = line.split(" ")
             if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
                 raise MalformedTranscript(f"bad stage line: {quoted(line)}")
-            snaps.append(PairStage(parse_nat(parts[1]), parse_bits(parts[3]), parse_bits(parts[5])))
+            records.append(PairRecord(parse_nat(parts[1]), *parse_p(parts[3]), *parse_q(parts[5])))
         c1 = parse_bits(tagged_line(lines, len(lines) - 2, "C1"))
         c2 = parse_bits(tagged_line(lines, len(lines) - 1, "C2"))
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
-    return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)
+    return PairTranscript(h1, h2, target, stages, tuple(records), c1, c2)
 
 
 def verify_pair(
@@ -307,17 +322,18 @@ def verify_pair(
         "roster2 hash mismatch")
     add("header.target", "-", canonical_json(t.target_config) == canonical_json(x.config()),
         "target mismatch")
-    stray = next((f"stage {i} is numbered {s.index}" for i, s in enumerate(t.snapshots) if s.index != i), "")
-    add("header.stages", "-", t.stages == len(t.snapshots) and not stray,
-        "stage count mismatch" if t.stages != len(t.snapshots) else stray)
+    stray = next((f"stage {i} is numbered {r.index}" for i, r in enumerate(t.records) if r.index != i), "")
+    add("header.stages", "-", t.stages == len(t.records) and not stray,
+        "stage count mismatch" if t.stages != len(t.records) else stray)
 
     met1 = [False] * len(roster1)
     met2 = [False] * len(roster2)
-    prev_p: Bits = b""
-    prev_q: Bits = b""
-    for s in t.snapshots:
+    prev_p = prev_q = b""
+    for r, s in zip(t.records, t.snapshots):
         locus = f"stage {s.index}"
-        chain = s.p.startswith(prev_p) and s.q.startswith(prev_q) and len(s.p) == len(s.q)
+        # a record keeping the previous snapshot whole extends it
+        chain = ((r.p_keep == len(prev_p) or s.p.startswith(prev_p))
+                 and (r.q_keep == len(prev_q) or s.q.startswith(prev_q)) and len(s.p) == len(s.q))
         add("chain", locus, chain, "snapshots not extensions of equal length")
         sides = (("meet1", roster1, met1, prev_p, s.p), ("meet2", roster2, met2, prev_q, s.q))
         for check, roster, met, prev, cur in sides:

@@ -184,6 +184,33 @@ class SeqCodec:
         return keep, new
 
 
+class BitsCodec:
+    """`render_bits` and `parse_bits` for a run of bit strings, each the
+    delta `(keep, new)` from the one before: its first `keep` bits, then
+    the bits `new`.  It keeps only the last string's length and text.  A
+    text that starts with a nonempty last text keeps all of it, and only
+    the rest is read, which must be `0`s and `1`s.  Any other text goes
+    through the full `parse_bits`, keeping no bit, so every value and
+    error message is its.  Use one instance per string and direction."""
+
+    def __init__(self):
+        self._n, self._text = 0, "-"
+
+    def render(self, keep: int, new: bytes) -> str:
+        text = self._text[:keep] + new.translate(_BITS_TO_TEXT).decode("ascii")
+        self._n, self._text = keep + len(new), text or "-"
+        return self._text
+
+    def parse(self, text: str) -> tuple[int, bytes]:
+        n = self._n
+        if n and text.startswith(self._text) and not text[n:].strip("01"):
+            keep, new = n, text[n:].encode("ascii").translate(_TEXT_TO_BITS)
+        else:
+            keep, new = 0, parse_bits(text)
+        self._n, self._text = keep + len(new), text
+        return keep, new
+
+
 def transcript_lines(text: str) -> list[str]:
     """The lines of a transcript: `text` split at each `\\n`, the one
     line end the writers write, which must also end the text."""

@@ -16,10 +16,11 @@ spelling rule per field and one line end.
 `render_bits`, `parse_bits`, `decode_pair` and `verify_pair` are the
 pair code from when a bit string was a tuple of ints; `cohen_member`
 holds the membership tests of the built-in cohen dense sets from then.
-The pair oracles read and return such tuples; `pair_as_tuples` converts
-a library `PairTranscript`, whose strings are bytes, for them.  Their
-parse errors quote the input through the library's `quoted`, as the
-library's do.
+The pair oracles read and return a `SnapshotPair`, a pair transcript
+that holds every full snapshot, with such tuples; `pair_as_tuples`
+converts a library `PairTranscript`, which holds records of the bytes
+each stage adds, for them.  Their parse errors quote the input through
+the library's `quoted`, as the library's do.
 
 `extends` (with `floor_gap_witness` and `_first_bad_prefix`) and
 `verify_transcript` are the order check and the verifier from before
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from typing import NamedTuple
 
 from genco.coding import SelfCode, decode, decode_prefix_code, eta
 from genco.cohenpair import PairStage, PairTranscript
@@ -387,7 +389,19 @@ def parse_transcript(text: str) -> RunTranscript:
     return RunTranscript.from_entries(rhash, help_cfg, target_cfg, steps, entries, g)
 
 
-def write_pair_transcript(t: PairTranscript) -> str:
+class SnapshotPair(NamedTuple):
+    """A pair transcript with both full snapshots of every stage."""
+
+    roster1_hash: str
+    roster2_hash: str
+    target_config: dict
+    stages: int
+    snapshots: tuple[PairStage, ...]
+    c1: tuple[int, ...]
+    c2: tuple[int, ...]
+
+
+def write_pair_transcript(t: PairTranscript | SnapshotPair) -> str:
     lines = [
         f"ROSTER1 {t.roster1_hash}",
         f"ROSTER2 {t.roster2_hash}",
@@ -401,7 +415,7 @@ def write_pair_transcript(t: PairTranscript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_pair_transcript(text: str) -> PairTranscript:
+def parse_pair_transcript(text: str) -> SnapshotPair:
     lines = transcript_lines(text)
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
@@ -425,7 +439,7 @@ def parse_pair_transcript(text: str) -> PairTranscript:
         c2 = parse_bits(header(len(lines) - 1, "C2"))
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
-    return PairTranscript(h1, h2, target, stages, tuple(snaps), c1, c2)
+    return SnapshotPair(h1, h2, target, stages, tuple(snaps), c1, c2)
 
 
 _BITS_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
@@ -447,10 +461,10 @@ def parse_bits(text: str) -> tuple[int, ...]:
     return tuple(text.encode("ascii").translate(_TEXT_TO_BITS))
 
 
-def pair_as_tuples(t: PairTranscript) -> PairTranscript:
-    """`t` with every string a tuple of ints."""
+def pair_as_tuples(t: PairTranscript) -> SnapshotPair:
+    """`t` with full snapshots, every string a tuple of ints."""
     snaps = tuple(PairStage(s.index, tuple(s.p), tuple(s.q)) for s in t.snapshots)
-    return PairTranscript(
+    return SnapshotPair(
         t.roster1_hash, t.roster2_hash, t.target_config, t.stages, snaps, tuple(t.c1), tuple(t.c2)
     )
 
@@ -480,7 +494,7 @@ def decode_pair(c1, c2, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def verify_pair(roster1, roster2, x, t: PairTranscript) -> VerificationReport:
+def verify_pair(roster1, roster2, x, t: SnapshotPair) -> VerificationReport:
     """Independent checks: headers; snapshot chain; some prefix of each
     stage's snapshot lying in the scheduled dense set; the positional
     ones-are-coded invariant; roster coverage; footer; decoded prefix."""

@@ -146,8 +146,9 @@ def test_criterion_6_pair_coding():
         for roster, pick in ((r1, lambda s: s.p), (r2, lambda s: s.q)):
             for r_idx, D in enumerate(roster):
                 met = False
-                for s in t.snapshots[r_idx :: len(roster)]:
-                    prev = t.snapshots[s.index - 1] if s.index else None
+                snaps = list(t.snapshots)
+                for s in snaps[r_idx :: len(roster)]:
+                    prev = snaps[s.index - 1] if s.index else None
                     lo = len(pick(prev)) if prev else 0
                     snap = pick(s)
                     if any(D.member(snap[:n]) for n in range(lo, len(snap) + 1)):

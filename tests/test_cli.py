@@ -19,7 +19,7 @@ from genco.cli import (
     ConfigError,
     parse_config,
 )
-from genco import EventuallyPeriodicSeq, cohen_from_config, verify_pair, write_pair_transcript
+from genco import EventuallyPeriodicSeq, build_pair, cohen_from_config, verify_pair, write_pair_transcript
 from genco.cohenpair import PairStage, PairTranscript
 from genco.serialize import QUOTE_CAP, canonical_json, roster_hash
 import oracles
@@ -353,6 +353,20 @@ class TestCommands:
         assert code == EXIT_OK and out.startswith("C1 ") and err == ""
         code, out, _ = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert code == EXIT_OK and out.endswith("PASS\n")
+
+    def test_cohen_writes_the_pair_transcript(self, tmp_path, monkeypatch):
+        # `--out` holds `write_pair_transcript`'s text, written fragment by
+        # fragment; the file is opened only once the build is done, so a
+        # build that runs out of fuel leaves none
+        cf, tf = CONFIG_DIR / "cohen_ends_contains.json", tmp_path / "t.pair"
+        assert run_cli(["cohen", "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
+        run = parse_config(cf.read_text())
+        assert tf.read_text() == write_pair_transcript(build_pair(*run.cohen_rosters(), run.target(), run.steps)[2])
+        tf.unlink()
+        monkeypatch.setenv("GENCO_FUEL", "1")
+        code, out, err = run_cli(["cohen", "--config", str(cf), "--out", str(tf)])
+        assert (code, out, err) == (EXIT_FUEL, "", "fuel exhausted: stage 0 would add 2 bits, past the fuel of 1 (step 0)\n")
+        assert not tf.exists()
 
     @pytest.mark.parametrize("command, cfg, fuel, err", [
         ("build", [], None, "config error at <root>: expected an object"),
@@ -741,8 +755,8 @@ class TestTooLarge:
             D = cohen_from_config(dict(dense, n=bits + dense["n"]) if "n" in dense else dense)
             x = EventuallyPeriodicSeq((), (0,))
             p, q = bytes(bits) + b"\x01", bytes(bits + 1)
-            t = PairTranscript(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
-                               (PairStage(0, p, q),), p, q)
+            t = PairTranscript.from_snapshots(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
+                                              [PairStage(0, p, q)], p, q)
             return D, x, t
 
         # the scan of the oracle's `contains` is quadratic in each prefix

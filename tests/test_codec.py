@@ -16,18 +16,22 @@ import random
 import pytest
 
 from genco import (
+    ContainsSet,
     DominateSet,
+    EndsWithSet,
     Evens,
     EventuallyPeriodicSeq,
     FloorRule,
     HechlerCondition,
     MalformedTranscript,
+    MinLenSet,
     StemLengthSet,
     build_coded_generic,
     build_pair,
     parse_condition,
     parse_pair_transcript,
     parse_transcript,
+    verify_pair,
     verify_transcript,
     write_pair_transcript,
     write_transcript,
@@ -177,6 +181,34 @@ def test_line_damage_parses_like_oracle(kind, pair):
         assert accepted > 0
 
 
+def _stage_damages(prev: str, cur: str):
+    """Each (previous, current) snapshot text pair that a STAGE damage
+    makes of two consecutive snapshot texts."""
+    for tail in ("-", "2", "\u0663"):
+        yield prev, prev + tail  # an extension by a tail parse_bits rejects
+    yield "-", cur  # a nonempty snapshot after an empty one
+    yield prev, prev  # a snapshot equal to the one before
+
+
+@pytest.mark.parametrize("field", [3, 5], ids=["P", "Q"])
+def test_stage_deltas_parse_exactly_like_oracle(field):
+    # the codec reads only the tail of a snapshot that starts with the one
+    # before; each of these gives the oracle's value or its error message
+    accepted = rejected = 0
+    for text in [p.read_text() for p in GOLDENS if p.stem.startswith("cohen")] + list(honest_pairs(73, 3, 6)):
+        lines = text.splitlines()
+        for k in range(5, len(lines) - 2):
+            before, parts = lines[k - 1].split(" "), lines[k].split(" ")
+            for prev, cur in _stage_damages(before[field], parts[field]):
+                before[field], parts[field] = prev, cur
+                damaged = lines[: k - 1] + [" ".join(before), " ".join(parts)] + lines[k + 1 :]
+                if assert_same_parse("\n".join(damaged) + "\n", pair=True):
+                    accepted += 1
+                else:
+                    rejected += 1
+    assert accepted > 0 and rejected > 0
+
+
 @pytest.mark.parametrize("kind", DAMAGE)
 def test_damaged_goldens_that_parse_write_back_unchanged(kind):
     # one spelling per field: every text the parser accepts is the text
@@ -264,6 +296,7 @@ def test_codec_matches_oracle_on_arbitrary_sequences():
     target = {"prefix": [], "cycle": [1]}
     roster = [StemLengthSet(2), DominateSet(FloorRule((), 0, 3))]
     A, x = Evens(), EventuallyPeriodicSeq((), (1,))
+    r1, r2 = [ContainsSet("1"), EndsWithSet("0")], [MinLenSet(2)]
     for _ in range(60):
         entries, cond = [], HechlerCondition()
         for i in range(rng.randrange(1, 10)):
@@ -284,11 +317,14 @@ def test_codec_matches_oracle_on_arbitrary_sequences():
         for i in range(rng.randrange(1, 10)):
             p, q = _next_bits(rng, p), _next_bits(rng, q)
             snaps.append(PairStage(i, p, q))
-        pt = PairTranscript("a", "b", target, len(snaps), tuple(snaps), p, q)
+        pt = PairTranscript.from_snapshots("a", "b", target, len(snaps), snaps, p, q)
         text = write_pair_transcript(pt)
         assert text == oracles.write_pair_transcript(pt)
         assert parse_pair_transcript(text) == pt
         assert oracles.parse_pair_transcript(text) == oracles.pair_as_tuples(pt)
+        want = oracles.verify_pair(r1, r2, x, oracles.pair_as_tuples(pt))
+        got = verify_pair(r1, r2, x, pt)
+        assert got.checks == want.checks and got.lines() == want.lines()
 
 
 def test_short_runs_parse_like_oracle():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,9 +23,12 @@ from genco import (
     verify_pair,
     write_pair_transcript,
 )
+from genco.cli import parse_config
 from genco.cohenpair import CohenDense, PairStage, PairTranscript
 import oracles
 from conftest import random_bit_seq
+from corpus import CONFIG_DIR
+from test_generic import _retained
 
 
 def random_cohen_roster(rng: random.Random, max_size=8):
@@ -55,7 +59,7 @@ class TestBuild:
 
     def test_zero_stages(self):
         c1, c2, t = build_pair([], [], EventuallyPeriodicSeq((1,), (0,)), 0)
-        assert c1 == b"" and c2 == b"" and t.snapshots == ()
+        assert c1 == b"" and c2 == b"" and t.records == () and list(t.snapshots) == []
 
     def test_non_bit_target_rejected(self):
         with pytest.raises(ValueError):
@@ -163,9 +167,9 @@ class TestTranscript:
         last = snaps[-1]
         c2 = last.q[:-1] + bytes((1 - last.q[-1],))
         snaps[-1] = type(last)(last.index, last.p, c2)
-        bad = PairTranscript(
+        bad = PairTranscript.from_snapshots(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
-            tuple(snaps), t.c1, c2,
+            snaps, t.c1, c2,
         )
         report = verify_pair([], [], x, bad)
         assert not report.ok
@@ -178,9 +182,9 @@ class TestTranscript:
         c1, c2, t = build_pair([ContainsSet("0")], [], x, 1)
         assert c1[0] == 0 and c2[0] == 0
         snaps = [type(s)(s.index, b"\x01" + s.p[1:], s.q) for s in t.snapshots]
-        bad = PairTranscript(
+        bad = PairTranscript.from_snapshots(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
-            tuple(snaps), b"\x01" + c1[1:], c2,
+            snaps, b"\x01" + c1[1:], c2,
         )
         report = verify_pair([ContainsSet("0")], [], x, bad)
         assert not report.ok
@@ -241,6 +245,24 @@ def test_met_after_matches_the_prefix_scan(D, p, start):
     assert D.met_after(p, start) == CohenDense.met_after(D, p, start)
 
 
+@pytest.mark.parametrize("phase", ["build", "parse"])
+def test_held_memory_is_linear_in_the_stages(phase):
+    # a record holds the bits its stage adds, not both whole snapshots, so
+    # a run of twice the stages holds about twice the memory; whole
+    # snapshots made it about four times.  The parsed text is not counted.
+    raw = json.loads((CONFIG_DIR / "cohen_ends_contains.json").read_text())
+    held = []
+    for stages in (512, 1024):
+        cfg = parse_config(json.dumps(raw | {"stages": stages}))
+        args = *cfg.cohen_rosters(), cfg.target(), stages
+        if phase == "build":
+            held.append(_retained(build_pair, *args))
+        else:
+            text = write_pair_transcript(build_pair(*args)[2])
+            held.append(_retained(parse_pair_transcript, text))
+    assert held[1] <= 2.5 * held[0], held
+
+
 def _flip(bits: bytes, m: int) -> bytes:
     return bits[:m] + bytes((1 - bits[m],)) + bits[m + 1 :]
 
@@ -274,7 +296,7 @@ def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscri
         stages, c1, c2 = len(snaps), snaps[-1].p, snaps[-1].q
     else:
         raise AssertionError(kind)
-    return PairTranscript(t.roster1_hash, t.roster2_hash, t.target_config, stages, tuple(snaps), c1, c2)
+    return PairTranscript.from_snapshots(t.roster1_hash, t.roster2_hash, t.target_config, stages, snaps, c1, c2)
 
 
 FORGERIES = ("flip", "no_chain", "truncate", "unequal", "footer", "unmet")

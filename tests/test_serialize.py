@@ -11,6 +11,7 @@ from genco.cohenpair import parse_pair_transcript
 from genco.conditions import parse_condition
 from genco.errors import MalformedTranscript
 from genco.serialize import (
+    BitsCodec,
     QUOTE_CAP,
     SeqCodec,
     canonical_json,
@@ -175,17 +176,26 @@ def test_parse_errors_quote_a_capped_head():
 
 
 def test_codecs_render_like_full_renderers():
-    # each sequence as the delta that keeps the common prefix with the last
-    seqs, prev = SeqCodec(), ()
+    # each sequence as the delta that keeps the common prefix with the last,
+    # and likewise its bits
+    def common(a, b):
+        return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+    seqs, bit_strings, prev, prev_bits = SeqCodec(), BitsCodec(), (), ()
     for xs in [(), (1, 2), (1, 2), (1, 2, 30), (1,), (4, 2, 30, 7, 7), (4, 2, 9), (), (0,)]:
-        keep = next((i for i, (a, b) in enumerate(zip(prev, xs)) if a != b), min(len(prev), len(xs)))
+        keep = common(prev, xs)
         assert seqs.render(keep, xs[keep:]) == render_seq(xs)
-        prev = xs
         bits = tuple(x % 2 for x in xs)
         assert render_bits(bytes(bits)) == oracles.render_bits(bits)
+        keep = common(prev_bits, bits)
+        assert bit_strings.render(keep, bytes(bits[keep:])) == oracles.render_bits(bits)
+        prev, prev_bits = xs, bits
     # every cut of a sequence, with and without new entries
     for keep in range(4):
         for new in ((), (9,), (10, 0)):
-            seqs = SeqCodec()
+            seqs, bit_strings = SeqCodec(), BitsCodec()
             seqs.render(0, (3, 10, 0))
             assert seqs.render(keep, new) == render_seq((3, 10, 0)[:keep] + new)
+            bit_strings.render(0, b"\x01\x00\x00")
+            bits = (1, 0, 0)[:keep] + tuple(x % 2 for x in new)
+            assert bit_strings.render(keep, bytes(bits[keep:])) == oracles.render_bits(bits)
