@@ -19,9 +19,9 @@ A pair transcript's STAGE lines repeat both end-of-stage snapshots, so
 its bytes grow quadratically with the stages, but a `PairTranscript`
 holds per line only the bits each snapshot adds (a `PairRecord`).  The
 writer and parser work on these deltas through `BitsCodec`; the
-verifier and `PairTranscript.snapshots` build the snapshots one stage
-at a time.  Stage numbers are read by `parse_nat` and the target by
-`parse_json`, so each field has one spelling, the writer's.
+verifier builds the snapshots one stage at a time.  Stage numbers are
+read by `parse_nat` and the target by `parse_json`, so each field has
+one spelling, the writer's.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq
 from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
-from .generic import CheckResult, VerificationReport
+from .generic import CheckResult, VerificationReport, _check_recorder
 from .serialize import BitsCodec, canonical_json, check_keys, nat, parse_bits, parse_json, parse_nat
 from .serialize import quoted, render_bits, roster_hash, tagged_line, transcript_lines
 
@@ -148,12 +148,6 @@ def cohen_from_config(cfg, path: str = "dense") -> CohenDense:
     raise ConfigError(f"{path}.type", f"unknown cohen dense type {t!r}")
 
 
-class PairStage(NamedTuple):
-    index: int
-    p: Bits  # end-of-stage snapshots
-    q: Bits
-
-
 class PairRecord(NamedTuple):
     """A STAGE line: the previous p cut to `p_keep` bits, then `p_new`;
     likewise q."""
@@ -173,26 +167,6 @@ class PairTranscript(NamedTuple):
     records: tuple[PairRecord, ...]
     c1: Bits
     c2: Bits
-
-    @classmethod
-    def from_snapshots(cls, roster1_hash, roster2_hash, target_config, stages, snapshots, c1, c2):
-        """The transcript of full snapshots; each keeps all of the one
-        before if it extends it, else none, as the parser reads them."""
-        records, p, q = [], b"", b""
-        for index, p2, q2 in snapshots:
-            p_keep = len(p) if p2.startswith(p) else 0
-            q_keep = len(q) if q2.startswith(q) else 0
-            records.append(PairRecord(index, p_keep, p2[p_keep:], q_keep, q2[q_keep:]))
-            p, q = p2, q2
-        return cls(roster1_hash, roster2_hash, target_config, stages, tuple(records), c1, c2)
-
-    @property
-    def snapshots(self):
-        """The full snapshots, in line order, each built as it is reached."""
-        p = q = b""
-        for index, p_keep, p_new, q_keep, q_new in self.records:
-            p, q = p[:p_keep] + p_new, q[:q_keep] + q_new
-            yield PairStage(index, p, q)
 
 
 def _checked_extend(D: CohenDense, p: Bits, stage: int, fuel: int) -> Bits:
@@ -281,9 +255,7 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 def parse_pair_transcript(text: str) -> PairTranscript:
     """Inverse of `write_pair_transcript`; raises MalformedTranscript."""
-    lines = transcript_lines(text)
-    if len(lines) < 6:
-        raise MalformedTranscript("pair transcript too short")
+    lines = transcript_lines(text, 6, "pair transcript too short")
     try:
         h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
         target = parse_json(tagged_line(lines, 2, "TARGET"))
@@ -312,10 +284,7 @@ def verify_pair(
     stage's snapshot lying in the scheduled dense set; the positional
     ones-are-coded invariant; roster coverage; footer; decoded prefix."""
     checks: list[CheckResult] = []
-
-    def add(check: str, locus: str, ok: bool, detail: str = ""):
-        checks.append(CheckResult(check, locus, ok, "" if ok else detail))
-
+    add = _check_recorder(checks)
     add("header.roster1", "-", t.roster1_hash == roster_hash([D.config() for D in roster1]),
         "roster1 hash mismatch")
     add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
@@ -329,26 +298,27 @@ def verify_pair(
     met1 = [False] * len(roster1)
     met2 = [False] * len(roster2)
     prev_p = prev_q = b""
-    for r, s in zip(t.records, t.snapshots):
-        locus = f"stage {s.index}"
+    for index, p_keep, p_new, q_keep, q_new in t.records:
+        p, q = prev_p[:p_keep] + p_new, prev_q[:q_keep] + q_new
+        locus = f"stage {index}"
         # a record keeping the previous snapshot whole extends it
-        chain = ((r.p_keep == len(prev_p) or s.p.startswith(prev_p))
-                 and (r.q_keep == len(prev_q) or s.q.startswith(prev_q)) and len(s.p) == len(s.q))
+        chain = ((p_keep == len(prev_p) or p.startswith(prev_p))
+                 and (q_keep == len(prev_q) or q.startswith(prev_q)) and len(p) == len(q))
         add("chain", locus, chain, "snapshots not extensions of equal length")
-        sides = (("meet1", roster1, met1, prev_p, s.p), ("meet2", roster2, met2, prev_q, s.q))
+        sides = (("meet1", roster1, met1, prev_p, p), ("meet2", roster2, met2, prev_q, q))
         for check, roster, met, prev, cur in sides:
             if roster:
-                D = roster[s.index % len(roster)]
-                hit = D.met_after(cur, len(prev))
+                k = index % len(roster)
+                hit = roster[k].met_after(cur, len(prev))
                 add(check, locus, hit, "no prefix of this stage lies in the dense set")
                 if hit:
-                    met[s.index % len(roster)] = True
-        prev_p, prev_q = s.p, s.q
+                    met[k] = True
+        prev_p, prev_q = p, q
 
     add("footer.c1", "-", t.c1 == prev_p, "C1 differs from the last snapshot")
     add("footer.c2", "-", t.c2 == prev_q, "C2 differs from the last snapshot")
-    add("coverage.roster1", "-", all(met1), f"unmet dense sets {[i for i, m in enumerate(met1) if not m]}")
-    add("coverage.roster2", "-", all(met2), f"unmet dense sets {[i for i, m in enumerate(met2) if not m]}")
+    for check, met in (("coverage.roster1", met1), ("coverage.roster2", met2)):
+        add(check, "-", all(met), "unmet dense sets {}", [i for i, m in enumerate(met) if not m])
 
     j = 0
     bad = None

@@ -19,9 +19,10 @@ delta its `ConditionCodec` finds, so none of them copies or holds a
 whole stem per line.  A stem text that does not extend the previous one
 keeps none of it and is parsed in full as if it stood alone.  The
 verifier builds each line's condition from its delta when it reaches
-it, and so does iterating `RunTranscript.entries`.  The parser accepts
-only the text the writer writes: one spelling per number, header and
-condition, so two different texts never parse to one transcript.
+it, and so does `RunTranscript.entries`, kept for callers outside the
+library.  The parser accepts only the text the writer writes: one
+spelling per number, header and condition, so two different texts never
+parse to one transcript.  The pair verifier shares the check recorder.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ class RunTranscript(NamedTuple):
     records: tuple[RunRecord, ...]
     g_prefix: tuple[int, ...]
 
-    @classmethod
-    def from_entries(cls, roster_hash, help_config, target_config, steps, entries, g_prefix):
-        """The transcript of full entries.  A stem that extends the one
-        before keeps all of it, any other stem none, as the parser reads
-        them."""
-        records, prev = [], ()
-        for kind, index, T, z in entries:
-            keep = len(prev) if is_prefix(prev, T.stem) else 0
-            records.append(RunRecord(kind, index, z, keep, T.stem[keep:], T.exclusions, T.floor))
-            prev = T.stem
-        return cls(roster_hash, help_config, target_config, steps, tuple(records), g_prefix)
-
     @property
     def entries(self):
         """The full entries, in line order, each condition built as it is
@@ -141,6 +130,18 @@ class VerificationReport(NamedTuple):
             out.append(f"{status} {c.check} @{c.locus}{detail}")
         out.append("PASS" if self.ok else "FAIL")
         return out
+
+
+def _check_recorder(checks: list[CheckResult]):
+    """`add(check, locus, ok, detail, *args)`, which appends one check to
+    `checks`; `detail` is a `str.format` template, filled in with `args`
+    only when the check fails."""
+    append = checks.append
+
+    def add(check: str, locus: str, ok: bool, detail: str, *args):
+        append(CheckResult(check, locus, True) if ok else CheckResult(check, locus, False, detail.format(*args)))
+
+    return add
 
 
 def _roster_configs(roster) -> list[dict]:
@@ -210,13 +211,9 @@ def write_transcript(t: RunTranscript) -> str:
 def parse_transcript(text: str) -> RunTranscript:
     """Inverse of `write_transcript`; raises MalformedTranscript at the
     first line that breaks the format."""
-    lines = transcript_lines(text)
-    if len(lines) < 5:
-        raise MalformedTranscript("transcript too short")
-    rhash = tagged_line(lines, 0, "ROSTER")
-    help_text = tagged_line(lines, 1, "HELP")
-    target_text = tagged_line(lines, 2, "TARGET")
-    steps_text = tagged_line(lines, 3, "STEPS")
+    lines = transcript_lines(text, 5, "transcript too short")
+    rhash, help_text, target_text, steps_text = (
+        tagged_line(lines, i, tag) for i, tag in enumerate(("ROSTER", "HELP", "TARGET", "STEPS")))
     try:
         help_cfg, target_cfg = parse_json(help_text), parse_json(target_text)
         steps = parse_nat(steps_text)
@@ -265,12 +262,7 @@ def verify_transcript(
     fails, and every passing check has detail ``""``.
     """
     checks: list[CheckResult] = []
-    append = checks.append
-
-    def add(check: str, locus: str, ok: bool, detail: str, *args):
-        # `detail` is a str.format template, filled in only on failure
-        append(CheckResult(check, locus, True) if ok else CheckResult(check, locus, False, detail.format(*args)))
-
+    append, add = checks.append, _check_recorder(checks)
     expected_hash = roster_hash(_roster_configs(roster))
     add("header.roster", "-", t.roster_hash == expected_hash,
         "hash {} != roster {}", t.roster_hash, expected_hash)

@@ -80,14 +80,14 @@ def parse_nat(text: str) -> int:
     `_` and no leading zero."""
     if _is_nat(text):
         return int(text)
-    raise ValueError(f"bad natural {text!r}")
+    raise ValueError(f"bad natural {quoted(text)}")
 
 
 def parse_json(text: str):
     """A JSON value whose text is its own `canonical_json`."""
     value = json.loads(text)
     if canonical_json(value) != text:
-        raise ValueError(f"not canonical JSON: {text!r}")
+        raise ValueError(f"not canonical JSON: {quoted(text)}")
     return value
 
 
@@ -211,12 +211,15 @@ class BitsCodec:
         return keep, new
 
 
-def transcript_lines(text: str) -> list[str]:
+def transcript_lines(text: str, least: int, short: str) -> list[str]:
     """The lines of a transcript: `text` split at each `\\n`, the one
-    line end the writers write, which must also end the text."""
+    line end the writers write, which must also end the text.  Fewer
+    than `least` lines raise MalformedTranscript with message `short`."""
     lines = text.split("\n")
     if lines.pop():
         raise MalformedTranscript("transcript does not end with a newline")
+    if len(lines) < least:
+        raise MalformedTranscript(short)
     return lines
 
 

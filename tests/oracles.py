@@ -8,10 +8,18 @@ check that the oracle never finds such a node where `extends` says YES.
 `parse_pair_transcript` are the transcript codec before incremental
 rendering and parsing: every line is rendered and parsed in full.  The
 library's codec must agree with them byte for byte, value for value and
-error message for error message.  They split lines with the library's
-`transcript_lines` and read each field through its `parse_nat`,
-`parse_json`, `parse_seq` and `parse_condition`, so both sides share one
-spelling rule per field and one line end.
+error message for error message.  They split lines with `split_lines`,
+the library's line reader from before it checked the line count, and
+check the count themselves.  They read each field through the library's
+`parse_nat`, `parse_json`, `parse_seq` and `parse_condition`, so both
+sides share one spelling rule per field.
+
+`run_from_entries`, `pair_from_snapshots` and `pair_snapshots` convert
+between the library's delta records and full conditions or snapshots
+(`TranscriptEntry`, `PairStage`), by the parsers' rule: a stem or
+snapshot that extends the one before keeps all of it, any other none.
+The library's parsers and verifiers never need the full form; the tests
+build forged transcripts and read whole snapshots through these.
 
 `render_bits`, `parse_bits`, `decode_pair` and `verify_pair` are the
 pair code from when a bit string was a tuple of ints; `cohen_member`
@@ -62,7 +70,7 @@ import itertools
 from typing import NamedTuple
 
 from genco.coding import SelfCode, decode, decode_prefix_code, eta
-from genco.cohenpair import PairStage, PairTranscript
+from genco.cohenpair import Bits, PairRecord, PairTranscript
 from genco.conditions import (
     FULL_TREE,
     ExtendsAnswer,
@@ -85,6 +93,7 @@ from genco.generic import (
     CODE,
     MEET,
     CheckResult,
+    RunRecord,
     RunTranscript,
     TranscriptEntry,
     VerificationReport,
@@ -98,7 +107,6 @@ from genco.serialize import (
     quoted,
     render_seq,
     roster_hash,
-    transcript_lines,
 )
 
 
@@ -329,6 +337,26 @@ def verify_transcript(
     return VerificationReport(tuple(checks))
 
 
+def run_from_entries(roster_hash, help_config, target_config, steps, entries, g_prefix) -> RunTranscript:
+    """The transcript of full entries.  A stem that extends the one
+    before keeps all of it, any other stem none, as the parser reads
+    them."""
+    records, prev = [], ()
+    for kind, index, T, z in entries:
+        keep = len(prev) if is_prefix(prev, T.stem) else 0
+        records.append(RunRecord(kind, index, z, keep, T.stem[keep:], T.exclusions, T.floor))
+        prev = T.stem
+    return RunTranscript(roster_hash, help_config, target_config, steps, tuple(records), g_prefix)
+
+
+def split_lines(text: str) -> list[str]:
+    """`text` split at each `\\n`, which must also end the text."""
+    lines = text.split("\n")
+    if lines.pop():
+        raise MalformedTranscript("transcript does not end with a newline")
+    return lines
+
+
 def write_transcript(t: RunTranscript) -> str:
     lines = [
         f"ROSTER {t.roster_hash}",
@@ -346,7 +374,7 @@ def write_transcript(t: RunTranscript) -> str:
 
 
 def parse_transcript(text: str) -> RunTranscript:
-    lines = transcript_lines(text)
+    lines = split_lines(text)
     if len(lines) < 5:
         raise MalformedTranscript("transcript too short")
 
@@ -386,7 +414,34 @@ def parse_transcript(text: str) -> RunTranscript:
                 raise MalformedTranscript(f"bad step on line {i}")
     except ValueError as exc:
         raise MalformedTranscript(f"bad step line: {exc}") from exc
-    return RunTranscript.from_entries(rhash, help_cfg, target_cfg, steps, entries, g)
+    return run_from_entries(rhash, help_cfg, target_cfg, steps, entries, g)
+
+
+class PairStage(NamedTuple):
+    index: int
+    p: Bits  # end-of-stage snapshots
+    q: Bits
+
+
+def pair_from_snapshots(roster1_hash, roster2_hash, target_config, stages, snapshots, c1, c2) -> PairTranscript:
+    """The transcript of full snapshots; each keeps all of the one
+    before if it extends it, else none, as the parser reads them."""
+    records, p, q = [], b"", b""
+    for index, p2, q2 in snapshots:
+        p_keep = len(p) if p2.startswith(p) else 0
+        q_keep = len(q) if q2.startswith(q) else 0
+        records.append(PairRecord(index, p_keep, p2[p_keep:], q_keep, q2[q_keep:]))
+        p, q = p2, q2
+    return PairTranscript(roster1_hash, roster2_hash, target_config, stages, tuple(records), c1, c2)
+
+
+def pair_snapshots(t: PairTranscript):
+    """The full snapshots of `t`, in line order, each built as it is
+    reached."""
+    p = q = b""
+    for index, p_keep, p_new, q_keep, q_new in t.records:
+        p, q = p[:p_keep] + p_new, q[:q_keep] + q_new
+        yield PairStage(index, p, q)
 
 
 class SnapshotPair(NamedTuple):
@@ -408,7 +463,7 @@ def write_pair_transcript(t: PairTranscript | SnapshotPair) -> str:
         f"TARGET {canonical_json(t.target_config)}",
         f"STAGES {t.stages}",
     ]
-    for s in t.snapshots:
+    for s in t.snapshots if isinstance(t, SnapshotPair) else pair_snapshots(t):
         lines.append(f"STAGE {s.index} P {render_bits(s.p)} Q {render_bits(s.q)}")
     lines.append(f"C1 {render_bits(t.c1)}")
     lines.append(f"C2 {render_bits(t.c2)}")
@@ -416,7 +471,7 @@ def write_pair_transcript(t: PairTranscript | SnapshotPair) -> str:
 
 
 def parse_pair_transcript(text: str) -> SnapshotPair:
-    lines = transcript_lines(text)
+    lines = split_lines(text)
     if len(lines) < 6:
         raise MalformedTranscript("pair transcript too short")
 
@@ -463,7 +518,7 @@ def parse_bits(text: str) -> tuple[int, ...]:
 
 def pair_as_tuples(t: PairTranscript) -> SnapshotPair:
     """`t` with full snapshots, every string a tuple of ints."""
-    snaps = tuple(PairStage(s.index, tuple(s.p), tuple(s.q)) for s in t.snapshots)
+    snaps = tuple(PairStage(s.index, tuple(s.p), tuple(s.q)) for s in pair_snapshots(t))
     return SnapshotPair(
         t.roster1_hash, t.roster2_hash, t.target_config, t.stages, snaps, tuple(t.c1), tuple(t.c2)
     )

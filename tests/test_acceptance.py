@@ -36,6 +36,7 @@ from conftest import (
     random_roster,
     random_seq,
 )
+import oracles
 from corpus import GOLDEN_DIR, build_transcript, corpus_paths, run_cli
 from mutations import ALL_MUTATIONS, apply_mutation
 from test_cohenpair import random_cohen_roster
@@ -146,7 +147,7 @@ def test_criterion_6_pair_coding():
         for roster, pick in ((r1, lambda s: s.p), (r2, lambda s: s.q)):
             for r_idx, D in enumerate(roster):
                 met = False
-                snaps = list(t.snapshots)
+                snaps = list(oracles.pair_snapshots(t))
                 for s in snaps[r_idx :: len(roster)]:
                     prev = snaps[s.index - 1] if s.index else None
                     lo = len(pick(prev)) if prev else 0

@@ -20,7 +20,6 @@ from genco.cli import (
     parse_config,
 )
 from genco import EventuallyPeriodicSeq, build_pair, cohen_from_config, verify_pair, write_pair_transcript
-from genco.cohenpair import PairStage, PairTranscript
 from genco.serialize import QUOTE_CAP, canonical_json, roster_hash
 import oracles
 from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
@@ -666,6 +665,28 @@ class TestTooLarge:
         assert len(line) < 2 * QUOTE_CAP
         assert seconds < 2
 
+    @pytest.mark.parametrize("name, old, new, detail", [
+        ("build_evens_roster4", "\nSTEPS 8\n", "\nSTEPS {}\n", "bad header: bad natural "),
+        ("build_evens_roster4", "\nMEET 0 ", "\nMEET {} ", "bad step line: bad natural "),
+        ("build_evens_roster4", 'HELP {"kind":"evens"}', 'HELP {{"kind":{}"evens"}}',
+         "bad header: not canonical JSON: "),
+        ("cohen_two_one", "\nSTAGE 1 ", "\nSTAGE {} ", "bad natural "),
+        ("cohen_two_one", "\nSTAGES 8\n", "\nSTAGES {}\n", "bad natural "),
+    ], ids=["steps", "meet-index", "help-json", "stage-index", "stages"])
+    def test_long_field_is_quoted_capped(self, tmp_path, name, old, new, detail):
+        # one field respelled to 10^6 characters: the FAIL line quotes
+        # only its head and its length
+        filler = " " * 10**6 if "JSON" in detail else "0" * 10**6
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+        assert old in text
+        tf = tmp_path / "t.transcript"
+        tf.write_text(text.replace(old, new.format(filler), 1))
+        code, out, err = run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+        line, verdict = out.splitlines()
+        assert (code, verdict, err) == (EXIT_VERIFY, "FAIL", "")
+        assert line.startswith(f"FAIL transcript @- {detail}") and line.endswith(" characters)")
+        assert len(line) < 2 * QUOTE_CAP
+
     def _forged_steps(self, tmp_path, command: str, dense: list):
         # the honest one-step run, its STEPS header raised to 10^11
         cfg = dict(HECHLER_CFG, target={"prefix": [], "cycle": [0]}, dense=dense, steps=1)
@@ -755,8 +776,8 @@ class TestTooLarge:
             D = cohen_from_config(dict(dense, n=bits + dense["n"]) if "n" in dense else dense)
             x = EventuallyPeriodicSeq((), (0,))
             p, q = bytes(bits) + b"\x01", bytes(bits + 1)
-            t = PairTranscript.from_snapshots(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
-                                              [PairStage(0, p, q)], p, q)
+            t = oracles.pair_from_snapshots(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
+                                            [oracles.PairStage(0, p, q)], p, q)
             return D, x, t
 
         # the scan of the oracle's `contains` is quadratic in each prefix

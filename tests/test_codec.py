@@ -37,8 +37,7 @@ from genco import (
     write_transcript,
 )
 from genco import cohenpair, generic
-from genco.cohenpair import PairStage, PairTranscript
-from genco.generic import CODE, MEET, CheckResult, RunTranscript, TranscriptEntry, VerificationReport
+from genco.generic import CODE, MEET, CheckResult, TranscriptEntry, VerificationReport
 import oracles
 from conftest import random_bit_seq, random_condition, random_help, random_roster, random_seq
 from corpus import GOLDEN_DIR, REPO
@@ -209,6 +208,28 @@ def test_stage_deltas_parse_exactly_like_oracle(field):
     assert accepted > 0 and rejected > 0
 
 
+@pytest.mark.parametrize("name, edits, message", [
+    ("build_evens_roster4", (("STEPS 8\nMEET 0 ", "STEPS 8\nMEET 0_0 "), ("\nG ", "\nH ")), "missing footer"),
+    ("build_evens_roster4", (('HELP {"kind":"evens"}', 'HELP {"kind": "evens"}'), ("\nSTEPS ", "\nSTEPZ ")),
+     "expected STEPS on line 4"),
+    ("cohen_two_one", (('TARGET {"cycle":[1,1,0],', 'TARGET {"cycle": [1,1,0],'), ("\nSTAGES ", "\nSTAGEZ ")),
+     """not canonical JSON: '{"cycle": [1,1,0],"prefix":[]}'"""),
+    ("cohen_two_one", (("\nSTAGE 1 P ", "\nSTAGE 1 X "), ("\nC1 ", "\nC0 ")),
+     "bad stage line: 'STAGE 1 X 00000000000011 Q 00000000000011'"),
+], ids=["footer-before-steps", "header-tags-before-values", "pair-value-after-its-tag", "pair-stages-before-footers"])
+def test_two_damages_report_the_first_in_the_parse_order(name, edits, message):
+    # hechler checks its four tags, then the header values, then the G
+    # footer, then the step lines; pair checks each header value after
+    # its tag, then the stage lines, then C1 and C2
+    text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    pair = name.startswith("cohen")
+    assert not assert_same_parse(text, pair)
+    assert outcome(parse_pair_transcript if pair else parse_transcript, text) == ("MalformedTranscript", message)
+
+
 @pytest.mark.parametrize("kind", DAMAGE)
 def test_damaged_goldens_that_parse_write_back_unchanged(kind):
     # one spelling per field: every text the parser accepts is the text
@@ -241,7 +262,7 @@ def test_atom_line_between_plain_lines_parses_line_for_line():
         HechlerCondition((3, 5, 8, 11), (), floor),
     )
     entries = tuple(TranscriptEntry(MEET, i, T) for i, T in enumerate(conds))
-    text = write_transcript(RunTranscript.from_entries("ab", None, None, 3, entries, conds[-1].stem))
+    text = write_transcript(oracles.run_from_entries("ab", None, None, 3, entries, conds[-1].stem))
     lines = text.splitlines()[4:-1]
     assert "excl{[3,5,8,9]:{1,4};[3,5,8,10]:{0}}" in lines[1]
     got = [e.condition for e in parse_transcript(text).entries]
@@ -305,7 +326,7 @@ def test_codec_matches_oracle_on_arbitrary_sequences():
                 entries.append(TranscriptEntry(MEET, i, cond))
             else:
                 entries.append(TranscriptEntry(CODE, i, cond, z=rng.randrange(9)))
-        t = RunTranscript.from_entries("ab", None, target, len(entries), entries, cond.stem)
+        t = oracles.run_from_entries("ab", None, target, len(entries), entries, cond.stem)
         text = write_transcript(t)
         assert text == oracles.write_transcript(t)
         assert parse_transcript(text) == oracles.parse_transcript(text) == t
@@ -316,8 +337,8 @@ def test_codec_matches_oracle_on_arbitrary_sequences():
         snaps, p, q = [], b"", b""
         for i in range(rng.randrange(1, 10)):
             p, q = _next_bits(rng, p), _next_bits(rng, q)
-            snaps.append(PairStage(i, p, q))
-        pt = PairTranscript.from_snapshots("a", "b", target, len(snaps), snaps, p, q)
+            snaps.append(oracles.PairStage(i, p, q))
+        pt = oracles.pair_from_snapshots("a", "b", target, len(snaps), snaps, p, q)
         text = write_pair_transcript(pt)
         assert text == oracles.write_pair_transcript(pt)
         assert parse_pair_transcript(text) == pt

@@ -24,7 +24,7 @@ from genco import (
     write_pair_transcript,
 )
 from genco.cli import parse_config
-from genco.cohenpair import CohenDense, PairStage, PairTranscript
+from genco.cohenpair import CohenDense, PairTranscript
 import oracles
 from conftest import random_bit_seq
 from corpus import CONFIG_DIR
@@ -59,7 +59,7 @@ class TestBuild:
 
     def test_zero_stages(self):
         c1, c2, t = build_pair([], [], EventuallyPeriodicSeq((1,), (0,)), 0)
-        assert c1 == b"" and c2 == b"" and t.records == () and list(t.snapshots) == []
+        assert c1 == b"" and c2 == b"" and t.records == () and list(oracles.pair_snapshots(t)) == []
 
     def test_non_bit_target_rejected(self):
         with pytest.raises(ValueError):
@@ -163,11 +163,11 @@ class TestTranscript:
         x = EventuallyPeriodicSeq((1, 0, 1), (0,))
         _, _, t = build_pair([], [], x, 3)
         # flip c2 at a 1-position of c1, coherently with the snapshot
-        snaps = list(t.snapshots)
+        snaps = list(oracles.pair_snapshots(t))
         last = snaps[-1]
         c2 = last.q[:-1] + bytes((1 - last.q[-1],))
         snaps[-1] = type(last)(last.index, last.p, c2)
-        bad = PairTranscript.from_snapshots(
+        bad = oracles.pair_from_snapshots(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
             snaps, t.c1, c2,
         )
@@ -181,8 +181,8 @@ class TestTranscript:
         x = EventuallyPeriodicSeq((1, 1, 1), (1,))
         c1, c2, t = build_pair([ContainsSet("0")], [], x, 1)
         assert c1[0] == 0 and c2[0] == 0
-        snaps = [type(s)(s.index, b"\x01" + s.p[1:], s.q) for s in t.snapshots]
-        bad = PairTranscript.from_snapshots(
+        snaps = [type(s)(s.index, b"\x01" + s.p[1:], s.q) for s in oracles.pair_snapshots(t)]
+        bad = oracles.pair_from_snapshots(
             t.roster1_hash, t.roster2_hash, t.target_config, t.stages,
             snaps, b"\x01" + c1[1:], c2,
         )
@@ -269,24 +269,24 @@ def _flip(bits: bytes, m: int) -> bytes:
 
 def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscript:
     """`t` with one kind of damage, at a stage chosen by `rng`."""
-    snaps = list(t.snapshots)
+    snaps = list(oracles.pair_snapshots(t))
     stages, c1, c2 = t.stages, t.c1, t.c2
     i = rng.randrange(len(snaps) - 1)
     s = snaps[i]
     if kind == "flip":
         if rng.random() < 0.5:
-            snaps[i] = PairStage(s.index, _flip(s.p, rng.randrange(len(s.p))), s.q)
+            snaps[i] = oracles.PairStage(s.index, _flip(s.p, rng.randrange(len(s.p))), s.q)
         else:
-            snaps[i] = PairStage(s.index, s.p, _flip(s.q, rng.randrange(len(s.q))))
+            snaps[i] = oracles.PairStage(s.index, s.p, _flip(s.q, rng.randrange(len(s.q))))
     elif kind == "no_chain":
         # two stages swap their strings: the later stage's are the shorter
         nxt = snaps[i + 1]
-        snaps[i], snaps[i + 1] = PairStage(s.index, nxt.p, nxt.q), PairStage(nxt.index, s.p, s.q)
+        snaps[i], snaps[i + 1] = oracles.PairStage(s.index, nxt.p, nxt.q), oracles.PairStage(nxt.index, s.p, s.q)
     elif kind == "truncate":
         cut = rng.randrange(len(s.p))
-        snaps[i] = PairStage(s.index, s.p[:cut], s.q[:cut])
+        snaps[i] = oracles.PairStage(s.index, s.p[:cut], s.q[:cut])
     elif kind == "unequal":
-        snaps[i] = PairStage(s.index, s.p, s.q + b"\x00")
+        snaps[i] = oracles.PairStage(s.index, s.p, s.q + b"\x00")
     elif kind == "footer":
         c1, c2 = (_flip(c1, rng.randrange(len(c1))), c2) if rng.random() < 0.5 else (c1, c2[:-1])
     elif kind == "unmet":
@@ -296,7 +296,7 @@ def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscri
         stages, c1, c2 = len(snaps), snaps[-1].p, snaps[-1].q
     else:
         raise AssertionError(kind)
-    return PairTranscript.from_snapshots(t.roster1_hash, t.roster2_hash, t.target_config, stages, snaps, c1, c2)
+    return oracles.pair_from_snapshots(t.roster1_hash, t.roster2_hash, t.target_config, stages, snaps, c1, c2)
 
 
 FORGERIES = ("flip", "no_chain", "truncate", "unequal", "footer", "unmet")
