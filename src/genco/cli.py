@@ -38,11 +38,13 @@ def _reject_dupes(pairs):
 
 
 def _load_json(text: str, path: str):
-    """Strict JSON: a syntax error or a duplicate key is a ConfigError."""
+    """Strict JSON: a syntax error, a duplicate key or too deep nesting is a ConfigError."""
     try:
         return json.loads(text, object_pairs_hook=_reject_dupes)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"{exc.msg} (line {exc.lineno} column {exc.colno})")
+    except RecursionError:
+        raise ConfigError(path, "JSON nested too deeply") from None
 
 
 class RunConfig(NamedTuple):
@@ -174,11 +176,10 @@ def _cmd_decode(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     cfg = parse_config(_read(args.config))
-    text = _read(args.transcript)
     parse = generic.parse_transcript if cfg.poset == "hechler" else cohenpair.parse_pair_transcript
     try:
-        t = parse(text)
-    except MalformedTranscript as exc:
+        t = parse(_read(args.transcript))
+    except (MalformedTranscript, UnicodeDecodeError) as exc:  # a transcript not in UTF-8 fails as one
         print(f"FAIL transcript @- {exc}", file=out)
         print("FAIL", file=out)
         return EXIT_VERIFY

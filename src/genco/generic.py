@@ -135,11 +135,14 @@ class VerificationReport(NamedTuple):
 def _check_recorder(checks: list[CheckResult]):
     """`add(check, locus, ok, detail, *args)`, which appends one check to
     `checks`; `detail` is a `str.format` template, filled in with `args`
-    only when the check fails."""
-    append = checks.append
+    only when the check fails.  Both verifiers record every check here.
+    Each record is built as a plain tuple of `CheckResult`'s four fields,
+    skipping the generated `__new__`."""
+    append, make = checks.append, tuple.__new__
 
     def add(check: str, locus: str, ok: bool, detail: str, *args):
-        append(CheckResult(check, locus, True) if ok else CheckResult(check, locus, False, detail.format(*args)))
+        append(make(CheckResult, (check, locus, True, "") if ok else
+                    (check, locus, False, detail.format(*args))))
 
     return add
 
@@ -257,12 +260,12 @@ def verify_transcript(
     bounds the prime indices of the help-set lookups.
 
     Each line's condition is built from its record when the line is
-    reached.  Each line costs a few `CheckResult` tuples and the checks
-    themselves: a failure's detail is formatted only when the check
-    fails, and every passing check has detail ``""``.
+    reached, and the entries it adds to the previous stem once.  Every
+    check goes through `_check_recorder`, so a line costs a few tuples and
+    the checks themselves; a passing check has detail ``""``.
     """
     checks: list[CheckResult] = []
-    append, add = checks.append, _check_recorder(checks)
+    add = _check_recorder(checks)
     expected_hash = roster_hash(_roster_configs(roster))
     add("header.roster", "-", t.roster_hash == expected_hash,
         "hash {} != roster {}", t.roster_hash, expected_hash)
@@ -293,52 +296,33 @@ def verify_transcript(
         member = functools.cache(A.member)
         label = functools.cache(lambda z: eta(A, z, fuel))
 
-    # the per-line checks append their records inline: a passing check
-    # costs one tuple and no call
     coding = A is not None and x is not None
     prev = FULL_TREE
     code_count = 0
     lines = zip(t.records, _conditions(t.records))
     for pos, ((kind, index, z_rec, keep, new, _, _), T) in enumerate(lines):
         locus = f"entry {pos}"
-        stem, pstem = T.stem, prev.stem
-        # a record that keeps the whole previous stem appends `new` to it,
-        # so only the rest of the chain check is left; any other falls
-        # back to the full check
-        grown = keep == len(pstem)
-        ans = _extends_from_stem(T, prev) if grown else extends(T, prev)
-        if ans is _YES:
-            append(CheckResult("chain.extends", locus, True))
-        else:
-            append(CheckResult("chain.extends", locus, False, f"witness {ans.witness}"))
+        pstem = prev.stem
+        # the entries this line adds to the previous stem, None when its stem
+        # does not extend that one; with them only the rest of the chain is left
+        added = new if keep == len(pstem) else T.stem[len(pstem):] if is_prefix(pstem, T.stem) else None
+        ans = extends(T, prev) if added is None else _extends_from_stem(T, prev)
+        add("chain.extends", locus, ans is _YES, "witness {}", ans.witness)
         if kind == MEET:
             if roster:
                 # only True itself passes: a truthy non-bool from a user set fails
-                if roster[index % len(roster)].member(T) is True:
-                    append(CheckResult("meet.member", locus, True))
-                else:
-                    append(CheckResult("meet.member", locus, False,
-                                       f"condition not a member of dense set {index}"))
-            if (grown or is_prefix(pstem, stem)) and (
-                A is None or not any(map(member, new if grown else stem[len(pstem):]))
-            ):
-                append(CheckResult("meet.avoid", locus, True))
-            else:
-                append(CheckResult("meet.avoid", locus, False, "new stem entries hit the help set"))
+                add("meet.member", locus, roster[index % len(roster)].member(T) is True,
+                    "condition not a member of dense set {}", index)
+            add("meet.avoid", locus, added is not None and (A is None or not any(map(member, added))),
+                "new stem entries hit the help set")
         else:
-            grew = len(stem) == len(pstem) + 1 and (grown or stem[:-1] == pstem)
-            if grew and z_rec == stem[-1]:
-                append(CheckResult("code.step", locus, True))
-            else:
-                append(CheckResult("code.step", locus, False,
-                                   f"stem did not grow by exactly the recorded value {z_rec}"))
+            grew = added is not None and len(added) == 1
+            add("code.step", locus, grew and z_rec == added[0],
+                "stem did not grow by exactly the recorded value {}", z_rec)
             if coding and grew:
-                z, want = stem[-1], x.value(index)
-                if member(z) and label(z) == want:
-                    append(CheckResult("code.value", locus, True))
-                else:
-                    append(CheckResult("code.value", locus, False,
-                                       f"z={z} not a member with label {want}"))
+                z, want = added[0], x.value(index)
+                add("code.value", locus, member(z) and label(z) == want,
+                    "z={} not a member with label {}", z, want)
             code_count += 1
         prev = T
 

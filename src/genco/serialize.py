@@ -75,18 +75,29 @@ def _is_nat(text: str) -> bool:
     return text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1)
 
 
+def _past_digit_limit(what: str, text: str) -> ValueError:
+    return ValueError(f"{what} {quoted(text)}: more than {str_digit_limit()} digits")
+
+
 def parse_nat(text: str) -> int:
     """A natural as the writers write it: ASCII digits with no sign, no
-    `_` and no leading zero."""
+    `_` and no leading zero, and no more digits than Python's limit."""
     if _is_nat(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise _past_digit_limit("bad natural", text) from None
     raise ValueError(f"bad natural {quoted(text)}")
 
 
 def parse_json(text: str):
-    """A JSON value whose text is its own `canonical_json`."""
-    value = json.loads(text)
-    if canonical_json(value) != text:
+    """A JSON value whose text is its own `canonical_json`, nested within the recursion limit."""
+    try:
+        value = json.loads(text)
+        canonical = canonical_json(value)
+    except RecursionError:
+        raise ValueError(f"JSON nested too deeply: {quoted(text)}") from None
+    if canonical != text:
         raise ValueError(f"not canonical JSON: {quoted(text)}")
     return value
 
@@ -99,7 +110,10 @@ def _entries(body: str, text: str) -> tuple[int, ...]:
     # which is quadratic in the digits
     if (body.isascii() and "" not in parts and "".join(parts).isdigit()
             and body.count(",0") + body.startswith("0") == parts.count("0")):
-        return tuple(map(int, parts))
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            raise _past_digit_limit("bad sequence entry", max(parts, key=len)) from None
     bad = next(part for part in parts if not _is_nat(part))
     raise ValueError(f"bad sequence entry {quoted(bad)} in {quoted(text)}")
 

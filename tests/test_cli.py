@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from genco.cli import (
     parse_config,
 )
 from genco import EventuallyPeriodicSeq, build_pair, cohen_from_config, verify_pair, write_pair_transcript
-from genco.serialize import QUOTE_CAP, canonical_json, roster_hash
+from genco.serialize import QUOTE_CAP, canonical_json, quoted, roster_hash, str_digit_limit
 import oracles
 from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
 
@@ -835,6 +836,80 @@ class TestTooLarge:
         hf.write_text('{"kind":"primes"}')
         assert run_genco(["decode", "--help-config", str(hf), "--g", "[7]"], fuel="4")[:2] == (EXIT_OK, "[2]\n")
         assert run_genco(["decode", "--help-config", str(hf), "--g", "[7]"], fuel="3")[0] == EXIT_FUEL
+
+
+class TestHostileBytes:
+    """Bytes that are not text, JSON nested past the interpreter's
+    recursion limit and numbers past its int-to-str digit limit end
+    with genco's own message and exit code, not a traceback."""
+
+    @staticmethod
+    def _verify(tmp_path, name: str, data: bytes):
+        tf = tmp_path / "t.transcript"
+        tf.write_bytes(data)
+        return run_cli(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--transcript", str(tf)])
+
+    @pytest.mark.parametrize("name, anchor, byte, reason", [
+        ("build_evens_stemlen", b"STEPS 6", b"\xc3", "invalid continuation byte"),
+        ("cohen_two_one", b"ROSTER1 ", b"\xff", "invalid start byte"),
+    ], ids=["hechler", "cohen"])
+    def test_transcript_not_in_utf8_fails_as_a_transcript(self, tmp_path, name, anchor, byte, reason):
+        raw = (GOLDEN_DIR / f"{name}.transcript").read_bytes()
+        at = raw.index(anchor) + len(anchor)
+        code, out, err = self._verify(tmp_path, name, raw[:at] + byte + raw[at:])
+        detail = f"'utf-8' codec can't decode byte 0x{byte.hex()} in position {at}: {reason}"
+        assert (code, out, err) == (EXIT_VERIFY, f"FAIL transcript @- {detail}\nFAIL\n", "")
+
+    def test_config_not_in_utf8_is_a_config_error(self, tmp_path):
+        cf = tmp_path / "c.json"
+        cf.write_bytes(b'{"poset": "\xff"}')
+        tf = GOLDEN_DIR / "cohen_two_one.transcript"
+        code, out, err = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+        assert (code, out) == (EXIT_CONFIG, "") and err.startswith("config error: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("name, idx, head", [
+        ("build_evens_stemlen", 1, "HELP "),
+        ("cohen_two_one", 2, "TARGET "),
+    ], ids=["hechler", "cohen"])
+    def test_deep_transcript_header_fails(self, tmp_path, name, idx, head):
+        lines = (GOLDEN_DIR / f"{name}.transcript").read_text().split("\n")
+        deep = "[" * 10**5 + "]" * 10**5
+        lines[idx] = head + deep
+        code, out, err = self._verify(tmp_path, name, "\n".join(lines).encode())
+        detail = "bad header: " if name.startswith("build") else ""
+        line = f"FAIL transcript @- {detail}JSON nested too deeply: {quoted(deep)}"
+        assert (code, out, err) == (EXIT_VERIFY, f"{line}\nFAIL\n", "")
+        assert len(line) < 2 * QUOTE_CAP
+
+    def test_deep_config_json_is_a_config_error(self, tmp_path):
+        deep = "[" * 10**5 + "]" * 10**5
+        cf = tmp_path / "c.json"
+        cf.write_text(f'{{"poset": {deep}}}')
+        want = (EXIT_CONFIG, "", "config error at <json>: JSON nested too deeply\n")
+        assert run_cli(["build", "--config", str(cf), "--out", str(tmp_path / "t")]) == want
+        assert run_cli(["decode", "--help-config", str(cf), "--g", "[]"]) == want
+        want = (EXIT_CONFIG, "", "config error at dense: JSON nested too deeply\n")
+        assert run_cli(["rank", "--dense", deep, "--node", "[]"]) == want
+
+    @pytest.mark.parametrize("name, pattern, detail", [
+        ("build_evens_roster4", r"\nSTEPS (8)\n", "bad header: bad natural "),
+        ("build_evens_roster4", r"\nMEET (0) ", "bad step line: bad natural "),
+        ("build_evens_roster4", r"\nCODE 0 (2) ", "bad step line: bad natural "),
+        ("build_evens_roster4", r"\nG \[(1),", "bad step line: bad sequence entry "),
+        ("cohen_two_one", r"\nSTAGES (8)\n", "bad natural "),
+        ("cohen_two_one", r"\nSTAGE (1) ", "bad natural "),
+    ], ids=["steps", "meet-index", "code-z", "g-entry", "stages", "stage-index"])
+    def test_number_past_digit_limit(self, tmp_path, name, pattern, detail):
+        limit = str_digit_limit()
+        if not limit:
+            pytest.skip("no int-to-str digit limit before Python 3.10.7")
+        digits = "1" * (limit + 700)
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+        m = re.search(pattern, text)
+        code, out, err = self._verify(tmp_path, name, (text[: m.start(1)] + digits + text[m.end(1) :]).encode())
+        line = f"FAIL transcript @- {detail}{quoted(digits)}: more than {limit} digits"
+        assert (code, out, err) == (EXIT_VERIFY, f"{line}\nFAIL\n", "")
+        assert len(line) < 2 * QUOTE_CAP
 
 
 class TestStartUp:

@@ -57,6 +57,36 @@ def test_parse_json_reads_canonical_text():
         assert parse_json(text) == value and canonical_json(parse_json(text)) == text
 
 
+def test_numbers_past_the_digit_limit_get_their_own_message():
+    limit = str_digit_limit()
+    if not limit:
+        pytest.skip("no int-to-str digit limit before Python 3.10.7")
+    long = "9" * (limit + 1)
+    at_limit = "9" * limit
+    assert parse_nat(at_limit) == 10**limit - 1
+    assert parse_seq(f"[1,{at_limit}]") == (1, 10**limit - 1)
+    codec = SeqCodec()
+    codec.parse("[1]")
+    # the codec reads the entries after the last text in place
+    cases = [
+        (parse_nat, long, f"bad natural {quoted(long)}"),
+        (parse_seq, f"[1,{long},2]", f"bad sequence entry {quoted(long)}"),
+        (codec.parse, f"[1,{long}]", f"bad sequence entry {quoted(long)}"),
+    ]
+    for parse, text, head in cases:
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == f"{head}: more than {limit} digits"
+        assert len(str(info.value)) < 2 * QUOTE_CAP
+
+
+@pytest.mark.parametrize("text", ["[" * 10**5 + "]" * 10**5, '{"a":' * 10**5 + "1" + "}" * 10**5])
+def test_parse_json_rejects_deep_nesting(text):
+    with pytest.raises(ValueError) as info:
+        parse_json(text)
+    assert str(info.value) == f"JSON nested too deeply: {quoted(text)}"
+
+
 def test_parse_seq_accepts_exactly_what_render_seq_writes():
     # every text of up to 6 characters over the sequence alphabet, alone
     # and after a sequence it may extend

@@ -238,3 +238,45 @@ def test_step_counts_verify_like_oracle():
             # a negative count has no text form, so it is set on the value
             passed += assert_same_verify(roster, A, x, t._replace(steps=steps))
     assert passed >= len(cases)
+
+
+def _recut(rng: random.Random, t):
+    """`t` with each record rewritten to a random `keep` up to the prefix its
+    stem shares with the previous stem, and `new` the rest of its stem; and
+    the number of records whose stem extends the previous one but whose
+    `keep` is shorter.  The parser writes no such record."""
+    records, pstem, short = [], (), 0
+    for r, e in zip(t.records, t.entries):
+        stem = e.condition.stem
+        shared = next((i for i, (a, b) in enumerate(zip(pstem, stem)) if a != b), min(len(pstem), len(stem)))
+        keep = rng.randint(0, shared)
+        short += shared == len(pstem) and keep < shared
+        records.append(r._replace(keep=keep, new=stem[keep:]))
+        pstem = stem
+    return t._replace(records=tuple(records)), short
+
+
+@pytest.mark.parametrize("path", CODED_GOLDENS, ids=lambda p: p.stem)
+def test_records_cut_at_any_keep_verify_like_parsed_ones(path):
+    # every record kept to its shared prefix is the same line: the verifier
+    # gives the checks it gives on the parser's records, and the oracle's
+    roster, A, x, text = golden_inputs(path)
+    rng = random.Random(f"recut-{path.stem}")
+    texts = [text]
+    for name in sorted(ALL_MUTATIONS):
+        if A is None and name in ("code_z", "stem_in_A"):
+            continue
+        try:
+            texts.append(apply_mutation(name, text, A))
+        except AssertionError:  # the run has no field this class edits
+            continue
+    short = 0
+    for text in texts:
+        t = parse_transcript(text)
+        want = outcome(verify_transcript, roster, A, x, t)
+        for _ in range(5):
+            cut, n = _recut(rng, t)
+            assert outcome(verify_transcript, roster, A, x, cut) == want
+            assert assert_same_verify(roster, A, x, cut) == (want[2][-1] == "PASS")
+            short += n
+    assert short > 0
