@@ -4,8 +4,9 @@ Exit codes: 0 success / verification passed, 1 verification failure,
 2 config error, 3 fuel exhaustion, 4 I/O error.  Payload goes to
 stdout, diagnostics to stderr.  GENCO_FUEL overrides the default probe
 budget of 100000, which also bounds the prime indices of help-set
-lookups.  The config schema lives with each family's
-`from_config`; this module reads only the root object.
+lookups and the successors the rank search enumerates.  The config
+schema lives with each family's `from_config`; this module reads only
+the root object.
 """
 
 from __future__ import annotations
@@ -19,7 +20,16 @@ from . import cohenpair, generic
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, help_set_from_config
 from .densesets import DEFAULT_FUEL, DenseSet, StemBasedDenseSet, dense_from_config, rank_bounded
 from .errors import ConfigError, FuelExhausted, MalformedTranscript
-from .serialize import build_at, check_keys, nat, parse_seq, render_bits, render_seq
+from .serialize import (
+    build_at,
+    check_keys,
+    nat,
+    parse_seq,
+    quoted,
+    render_bits,
+    render_seq,
+    str_digit_limit,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -38,13 +48,18 @@ def _reject_dupes(pairs):
 
 
 def _load_json(text: str, path: str):
-    """Strict JSON: a syntax error, a duplicate key or too deep nesting is a ConfigError."""
+    """Strict JSON: a syntax error, a duplicate key, too deep nesting or a
+    number too long for int(str) is a ConfigError."""
     try:
         return json.loads(text, object_pairs_hook=_reject_dupes)
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"{exc.msg} (line {exc.lineno} column {exc.colno})")
     except RecursionError:
         raise ConfigError(path, "JSON nested too deeply") from None
+    except ConfigError:
+        raise
+    except ValueError:  # a number past the limit of int(str)
+        raise ConfigError(path, f"JSON number of more than {str_digit_limit()} digits") from None
 
 
 class RunConfig(NamedTuple):
@@ -131,7 +146,10 @@ def _fuel() -> int:
     try:
         fuel = int(raw)
     except ValueError:
-        raise ConfigError("GENCO_FUEL", f"not an integer: {raw!r}")
+        digits, limit = raw.strip().lstrip("+-").replace("_", ""), str_digit_limit()
+        if len(digits) > limit > 0 and digits.isdecimal():
+            raise ConfigError("GENCO_FUEL", f"{quoted(raw)} has more than {limit} digits") from None
+        raise ConfigError("GENCO_FUEL", f"not an integer: {quoted(raw)}") from None
     if fuel <= 0:
         raise ConfigError("GENCO_FUEL", "must be positive")
     return fuel
@@ -199,7 +217,7 @@ def _cmd_rank(args, out) -> int:
     if not isinstance(D, StemBasedDenseSet):
         raise ConfigError("dense", "rank requires a stem-based dense set")
     node = build_at("node", parse_seq, args.node)
-    r = rank_bounded(D, node, nat(args.max_rank, "max-rank"), nat(args.width, "width"))
+    r = rank_bounded(D, node, nat(args.max_rank, "max-rank"), nat(args.width, "width"), _fuel())
     print("null" if r is None else str(r), file=out)
     return EXIT_OK
 

@@ -7,8 +7,9 @@ A dense set is presented in one of two runtime shapes:
   ascending, unbounded enumeration `good_successors(s)` of first steps
   that make progress toward S.  Honesty contract: the enumeration is
   infinite and, off S, every enumerated step strictly decreases the
-  reachability rank of the node.  `node_class(s)`, the memo key of
-  `rank_bounded`, is s itself unless a set collapses more.
+  reachability rank of the node.  `node_class(s)`, the key by which
+  `rank_bounded`'s level search keeps one node per class, is s itself
+  unless a set collapses more.
 * pruning: a `refine(T)` returning a member below T with the same stem.
 
 `extend_in_A` realises the central search: it meets a dense set from any
@@ -70,9 +71,9 @@ class StemBasedDenseSet(DenseSet):
         raise NotImplementedError
 
     def node_class(self, s: Node):
-        """Memoisation key: nodes with equal classes must have identical
-        witness/successor behaviour along all extensions.  The default
-        class is the node itself, which collapses nothing."""
+        """The rank search's dedup key: nodes with equal classes must have
+        identical witness/successor behaviour along all extensions.  The
+        default class is the node itself, which collapses nothing."""
         return s
 
 
@@ -261,41 +262,37 @@ def _pattern_from_config(cfg, path: str) -> StemPattern:
 
 
 def rank_bounded(
-    D: StemBasedDenseSet, t, max_rank: int, width: int
+    D: StemBasedDenseSet, t, max_rank: int, width: int, fuel: int = DEFAULT_FUEL
 ) -> int | None:
     """Least r <= max_rank such that t reaches S in r progress steps,
-    with the successor search truncated to the first `width` enumerated
-    steps per node; None if no such r.
-
-    For honest enumerations the result is an upper bound on the true
-    reachability rank.  Nodes are memoised by `node_class`, the node
-    itself unless the dense set collapses more.
+    each node's successors cut to the first `width` enumerated; None if
+    no such r.  For honest enumerations r bounds the true rank from above.
+    The search runs level by level, keeps the first node of each
+    `node_class` (a class met again reaches S no sooner) and charges one
+    unit of `fuel` per enumerated successor.
     """
     if not isinstance(D, StemBasedDenseSet):
         raise TypeError("rank is defined for stem-based dense sets")
     t = as_node(t)
-    memo: dict = {}
-
-    def search(s: Node, cap: int) -> int | None:
-        if D.member_witness(s) is not None:
-            return 0
-        if cap <= 0:
+    if D.member_witness(t) is not None:
+        return 0
+    level, seen, probes = [t], {D.node_class(t)}, itertools.count(1)
+    for r in range(1, max_rank + 1):
+        children = []
+        for s in level:
+            for z in itertools.islice(D.good_successors(s), width):
+                if next(probes) > fuel:
+                    raise FuelExhausted(f"rank of {quoted(render_seq(t))} not found within {fuel} probes")
+                child = s + (z,)
+                if D.member_witness(child) is not None:
+                    return r
+                if (k := D.node_class(child)) not in seen:
+                    seen.add(k)
+                    children.append(child)
+        if not children:
             return None
-        k = (D.node_class(s), cap)
-        if k in memo:
-            return memo[k]
-        best: int | None = None
-        for z in itertools.islice(D.good_successors(s), width):
-            child_cap = cap - 1 if best is None else best - 2
-            r = search(s + (z,), child_cap)
-            if r is not None:
-                best = r + 1
-                if best == 1:
-                    break
-        memo[k] = best
-        return best
-
-    return search(t, max_rank)
+        level = children
+    return None
 
 
 def extend_in_A(

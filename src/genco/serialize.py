@@ -97,6 +97,10 @@ def parse_json(text: str):
         canonical = canonical_json(value)
     except RecursionError:
         raise ValueError(f"JSON nested too deeply: {quoted(text)}") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # json.loads met a number past the limit of int(str)
+        raise ValueError(f"JSON number of more than {str_digit_limit()} digits: {quoted(text)}") from None
     if canonical != text:
         raise ValueError(f"not canonical JSON: {quoted(text)}")
     return value

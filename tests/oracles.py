@@ -61,6 +61,11 @@ their own predicates `len(s) >= n` and `any(e >= k for e in s)`;
 pattern through `EventuallyPeriodicSeq`.  The library must give the same
 members, witnesses, successors and ranks, and a node partition that
 `node_class` draws the same way.
+
+`rank_bounded` is the rank engine from before the level search: a
+depth-first recursion with a memo keyed by `(node_class, cap)` and
+`best - 2` cap pruning.  It takes no fuel.  The library must give the
+same rank, or None alike.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from genco.conditions import (
     _canonical_exclusions,
     _contains,
     _floor_at,
+    as_node,
     comparable,
     floor_max,
     is_prefix,
@@ -728,3 +734,41 @@ def explicit_member(prefix: tuple[int, ...], cycle: tuple[int, ...], z: int) -> 
     if z < len(prefix):
         return prefix[z] == 1
     return cycle[(z - len(prefix)) % len(cycle)] == 1
+
+
+def rank_bounded(
+    D: StemBasedDenseSet, t, max_rank: int, width: int
+) -> int | None:
+    """Least r <= max_rank such that t reaches S in r progress steps,
+    with the successor search truncated to the first `width` enumerated
+    steps per node; None if no such r.
+
+    For honest enumerations the result is an upper bound on the true
+    reachability rank.  Nodes are memoised by `node_class`, the node
+    itself unless the dense set collapses more.
+    """
+    if not isinstance(D, StemBasedDenseSet):
+        raise TypeError("rank is defined for stem-based dense sets")
+    t = as_node(t)
+    memo: dict = {}
+
+    def search(s: Node, cap: int) -> int | None:
+        if D.member_witness(s) is not None:
+            return 0
+        if cap <= 0:
+            return None
+        k = (D.node_class(s), cap)
+        if k in memo:
+            return memo[k]
+        best: int | None = None
+        for z in itertools.islice(D.good_successors(s), width):
+            child_cap = cap - 1 if best is None else best - 2
+            r = search(s + (z,), child_cap)
+            if r is not None:
+                best = r + 1
+                if best == 1:
+                    break
+        memo[k] = best
+        return best
+
+    return search(t, max_rank)

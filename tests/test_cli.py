@@ -816,6 +816,23 @@ class TestTooLarge:
         # the transcript file is opened only once the build is done
         assert not (tmp_path / "t").exists()
 
+    def test_rank_search_is_not_recursive(self):
+        # 1200 levels of one node each: deeper than the recursion limit
+        dense = '{"type":"stem_length","n":100000}'
+        args = ["rank", "--dense", dense, "--node", "[]", "--max-rank", "1200", "--width", "1"]
+        code, out, err, seconds = run_genco(args)
+        assert (code, out, err) == (EXIT_OK, "null\n", "")
+        assert seconds < 2
+
+    @pytest.mark.parametrize("dense, options, fuel", [
+        ('{"type":"stem_length","n":100000}', ["--max-rank", "5000"], "1000"),
+        ('{"type":"stem_length","n":3}', ["--width", "1000000"], "10"),
+    ], ids=["deep", "wide"])
+    def test_rank_takes_the_fuel(self, dense, options, fuel):
+        code, out, err, seconds = run_genco(["rank", "--dense", dense, "--node", "[]", *options], fuel=fuel)
+        assert (code, out, err) == (EXIT_FUEL, "", f"fuel exhausted: rank of '[]' not found within {fuel} probes\n")
+        assert seconds < 2
+
     def test_decode_large_prime(self, tmp_path):
         hf = tmp_path / "h.json"
         hf.write_text('{"kind":"primes"}')
@@ -910,6 +927,38 @@ class TestHostileBytes:
         line = f"FAIL transcript @- {detail}{quoted(digits)}: more than {limit} digits"
         assert (code, out, err) == (EXIT_VERIFY, f"{line}\nFAIL\n", "")
         assert len(line) < 2 * QUOTE_CAP
+
+    @pytest.fixture
+    def long_number(self):
+        limit = str_digit_limit()
+        if not limit:
+            pytest.skip("no int-to-str digit limit before Python 3.10.7")
+        return "1" * (limit + 700)
+
+    def test_target_header_number_past_digit_limit(self, tmp_path, long_number):
+        name = "build_evens_roster4"
+        text = (GOLDEN_DIR / f"{name}.transcript").read_text()
+        old = '\nTARGET {"cycle":[3,0],"prefix":[1,0,2]}\n'
+        assert old in text
+        target = f'{{"cycle":[{long_number},0],"prefix":[1,0,2]}}'
+        code, out, err = self._verify(tmp_path, name, text.replace(old, f"\nTARGET {target}\n").encode())
+        line = f"FAIL transcript @- bad header: JSON number of more than {str_digit_limit()} digits: {quoted(target)}"
+        assert (code, out, err) == (EXIT_VERIFY, f"{line}\nFAIL\n", "")
+        assert len(line) < 2 * QUOTE_CAP
+
+    def test_config_number_past_digit_limit(self, tmp_path, long_number):
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(HECHLER_CFG).replace('"steps": 4', f'"steps": {long_number}'))
+        err = f"config error at <json>: JSON number of more than {str_digit_limit()} digits\n"
+        assert run_cli(["build", "--config", str(cf), "--out", str(tmp_path / "t")]) == (EXIT_CONFIG, "", err)
+        assert len(err) < 2 * QUOTE_CAP
+
+    def test_fuel_past_digit_limit(self, long_number, monkeypatch):
+        monkeypatch.setenv("GENCO_FUEL", long_number)
+        code, out, err = run_cli(["rank", "--dense", '{"type":"stem_length","n":3}', "--node", "[]"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error at GENCO_FUEL: {quoted(long_number)} has more than {str_digit_limit()} digits\n"
+        assert len(err) < 2 * QUOTE_CAP
 
 
 class TestStartUp:

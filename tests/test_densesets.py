@@ -116,6 +116,56 @@ class TestRank:
         with pytest.raises(TypeError):
             rank_bounded(DominateSet(FloorRule((), 0, 1)), (), 4, 4)
 
+    def test_matches_the_recursive_search(self):
+        # random stem_length, stem_hits and user_stems sets; each again
+        # with the default class, the node itself, which collapses
+        # nothing; and each again with its classes but successors from 0,
+        # so that a level's first node need not be its best
+        class Uncollapsed(StemBasedDenseSet):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def member_witness(self, s):
+                return self.inner.member_witness(s)
+
+            def good_successors(self, s):
+                return self.inner.good_successors(s)
+
+        class FromZero(Uncollapsed):
+            def good_successors(self, s):
+                return itertools.count(0)
+
+            def node_class(self, s):
+                return self.inner.node_class(s)
+
+        def random_pattern(rng):
+            hits = tuple((rng.randrange(7), rng.randrange(1, 4)) for _ in range(rng.randrange(3)))
+            return StemPattern(rng.randrange(0 if hits else 1, 5), hits)
+
+        rng = random.Random(23)
+        for _ in range(150):
+            D = rng.choice([
+                lambda: StemLengthSet(rng.randrange(6)),
+                lambda: StemHitsSet(rng.randrange(9)),
+                lambda: UserStemsSet(random_pattern(rng) for _ in range(rng.randrange(1, 4))),
+            ])()
+            t = tuple(rng.randrange(7) for _ in range(rng.randrange(4)))
+            for S in (D, Uncollapsed(D), FromZero(D)):
+                for max_rank, width in itertools.product(range(7), repeat=2):
+                    want = oracles.rank_bounded(S, t, max_rank, width)
+                    assert rank_bounded(S, t, max_rank, width) == want, (D.config(), t, max_rank, width)
+
+    def test_each_successor_costs_one_unit_of_fuel(self):
+        # from [] with width 2: two probes per level, one node kept per
+        # class, and the first probe of level 3 lands in S
+        D = StemLengthSet(3)
+        assert rank_bounded(D, (), 3, 2, fuel=5) == 3
+        with pytest.raises(FuelExhausted, match=r"^rank of '\[\]' not found within 4 probes$"):
+            rank_bounded(D, (), 3, 2, fuel=4)
+        # a start node in S, or a search cut by max_rank, takes no more
+        assert rank_bounded(D, (1, 2, 3), 3, 2, fuel=1) == 0
+        assert rank_bounded(D, (), 2, 2, fuel=4) is None
+
 
 class TestExtendInA:
     def test_stem_length_descent(self):
@@ -223,8 +273,8 @@ class TestExtendInA:
             extend_in_A(FULL_TREE, StemLengthSet(3).config(), None)
 
     def test_default_node_class_ranks_like_its_delegate(self):
-        # a set that keeps the default class, the node itself, memoises
-        # per node and ranks as the set it delegates to
+        # a set that keeps the default class, the node itself, collapses
+        # no node and ranks as the set it delegates to
         class Delegating(StemBasedDenseSet):
             inner = StemLengthSet(3)
 
