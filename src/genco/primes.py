@@ -8,11 +8,12 @@ segment is a bytearray of at most `_SEGMENT` odd numbers, struck out by
 slice assignment, and reaches at most twice as far as the table did, so
 the table always holds the primes up to the segment's square root.  The
 block counts of a grown table are filled by `bytearray.count`, so
-growing makes a Python int only for each striking prime and each prime
-below `_SMALL`, not for every odd candidate.  A lookup past the reach
-sieves on to a new reach: n(ln n + ln ln n), the standard bound on the
-n-th prime counted from 1, for `nth_prime(n - 1)`, and 9z/8 for
-`prime_index(z)`, so an ascending sweep sieves each stretch once.
+growing makes Python ints only for the odd numbers up to that square
+root and below `_SMALL`, not for every odd candidate.  A lookup past
+the reach sieves on to a new reach: n(ln n + ln ln n), the standard
+bound on the n-th prime counted from 1, for `nth_prime(n - 1)`, and
+9z/8 for `prime_index(z)`, so an ascending sweep sieves each stretch
+once.
 Nothing is sieved at import.
 
 Lookup costs, once the table reaches far enough:
@@ -58,9 +59,10 @@ _PSI_13 = 3317044064679887385961981
 
 class _Table:
     """The primes up to `reach`: `odd[i]` is 1 when 2i + 1 is prime,
-    `counts[b]` is the number of 1s in `odd[:b * _BLOCK]` for each whole
-    block, `small` holds the primes below `_SMALL` up to the reach, and
-    `count` the number of primes up to the reach, 2 included."""
+    `counts[b]` is the number of 1s in `odd[:b * _BLOCK]` for b up to
+    the number of whole blocks, `small` holds the primes below `_SMALL`
+    up to the reach, and `count` is the number of primes up to the
+    reach, 2 included."""
 
     def __init__(self):
         self.odd = bytearray(b"\x00\x01")
