@@ -77,10 +77,7 @@ def prefix_code(entries) -> int:
     """Product of nth_prime(i) ** (entries[i] + 1); strictly increasing
     along prefix extension, so a single large element determines every
     shorter prefix."""
-    z = 1
-    for i, a in enumerate(entries):
-        z *= primes.nth_prime(i) ** (a + 1)
-    return z
+    return math.prod(primes.nth_prime(i) ** (a + 1) for i, a in enumerate(entries))
 
 
 def decode_prefix_code(z: int) -> tuple[int, ...]:
@@ -321,11 +318,7 @@ def recover_from_subset(elements, n: int, fuel: int = DEFAULT_FUEL) -> tuple[int
     a stalling stream exhausts the fuel."""
     if n == 0:
         return ()
-    seen = 0
-    for z in elements:
-        seen += 1
-        if seen > fuel:
-            break
+    for z in itertools.islice(elements, max(fuel, 0)):
         digits = decode_prefix_code(z)
         if len(digits) >= n:
             return digits[:n]
@@ -342,15 +335,10 @@ def decode(A: HelpSet, g, fuel: int = DEFAULT_FUEL) -> tuple[int, ...]:
 
 
 def difference_prefix(B, A, count: int, fuel: int = DEFAULT_FUEL) -> list[int]:
-    """First `count` elements of B - A, scanning B's enumeration with a
-    probe budget."""
-    out: list[int] = []
-    for n in range(fuel):
-        if len(out) >= count:
-            return out
-        z = B.enumerate(n)
-        if not A.member(z):
-            out.append(z)
+    """First `count` elements of B - A, scanning at most the first `fuel`
+    elements of B's enumeration."""
+    outside = (z for z in map(B.enumerate, range(fuel)) if not A.member(z))
+    out = list(itertools.islice(outside, max(count, 0)))
     if len(out) >= count:
         return out
     raise FuelExhausted(f"found {len(out)}/{count} elements outside A within {fuel} probes")

@@ -219,7 +219,7 @@ def build_pair(
         q += bytes((x.value(j),))
         j += 1
         records.append(PairRecord(i, n, p[n:], n, q[n:]))
-    h1, h2 = (roster_hash([D.config() for D in roster]) for roster in (roster1, roster2))
+    h1, h2 = roster_hash(roster1), roster_hash(roster2)
     return p, q, PairTranscript(h1, h2, x.config(), stages, tuple(records), p, q)
 
 
@@ -285,10 +285,8 @@ def verify_pair(
     ones-are-coded invariant; roster coverage; footer; decoded prefix."""
     checks: list[CheckResult] = []
     add = _check_recorder(checks)
-    add("header.roster1", "-", t.roster1_hash == roster_hash([D.config() for D in roster1]),
-        "roster1 hash mismatch")
-    add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
-        "roster2 hash mismatch")
+    add("header.roster1", "-", t.roster1_hash == roster_hash(roster1), "roster1 hash mismatch")
+    add("header.roster2", "-", t.roster2_hash == roster_hash(roster2), "roster2 hash mismatch")
     add("header.target", "-", canonical_json(t.target_config) == canonical_json(x.config()),
         "target mismatch")
     stray = next((f"stage {i} is numbered {r.index}" for i, r in enumerate(t.records) if r.index != i), "")

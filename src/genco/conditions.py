@@ -140,14 +140,8 @@ class HechlerCondition(Frozen):
 
     def __init__(self, stem: Node = (), exclusions=(), floor: FloorRule | None = None):
         stem = as_node(stem)
-        merged: dict[Node, set[int]] = {}
         items = exclusions.items() if isinstance(exclusions, dict) else exclusions
-        for key, steps in items:
-            key = as_node(key)
-            if not is_prefix(stem, key):
-                raise ValueError(f"exclusion key {key} does not extend stem {stem}")
-            merged.setdefault(key, set()).update(map(int, steps))
-        canon = _canonical_exclusions(merged)
+        canon = _canonical_exclusions((_atom_key(stem, key), map(int, steps)) for key, steps in items)
         for _, steps in canon:
             if steps[0] < 0:
                 raise ValueError("excluded steps must be naturals")
@@ -192,13 +186,21 @@ _set_stem, _set_exclusions, _set_floor = (
 )
 
 
-def _canonical_exclusions(merged: dict[Node, set[int]]):
-    """Sorted (key, ascending steps) pairs, empty step sets dropped."""
-    return tuple(
-        (key, tuple(sorted(steps)))
-        for key, steps in sorted(merged.items())
-        if steps
-    )
+def _atom_key(stem: Node, key) -> Node:
+    key = as_node(key)
+    if not is_prefix(stem, key):
+        raise ValueError(f"exclusion key {key} does not extend stem {stem}")
+    return key
+
+
+def _canonical_exclusions(atoms):
+    """Sorted (key, ascending steps) pairs from (key, steps) pairs: the
+    steps of a repeated key merged, empty step sets dropped.  Each pair's
+    steps are read before the next pair is drawn."""
+    merged: dict[Node, set[int]] = {}
+    for key, steps in atoms:
+        merged.setdefault(key, set()).update(steps)
+    return tuple((key, tuple(sorted(steps))) for key, steps in sorted(merged.items()) if steps)
 
 
 FULL_TREE = HechlerCondition()
@@ -276,12 +278,8 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     if not _contains(short, long.stem):
         return None
     stem = long.stem
-    merged: dict[Node, set[int]] = {}
-    for side in (short, long):
-        for key, steps in side.exclusions:
-            if is_prefix(stem, key):
-                merged.setdefault(key, set()).update(steps)
-    excl, floor = _canonical_exclusions(merged), floor_max(T1.floor, T2.floor)
+    atoms = (atom for side in (short, long) for atom in side.exclusions if is_prefix(stem, atom[0]))
+    excl, floor = _canonical_exclusions(atoms), floor_max(T1.floor, T2.floor)
     for side in (long, short):
         if side.stem is stem and side.floor is floor and side.exclusions == excl:
             return side
@@ -478,14 +476,14 @@ def _parse_exclusions(text: str, stem_text: str):
     keys extend the stem written `stem_text`.  Rendering them back checks
     the braces, the order and that no key or step repeats; a key extends
     the stem iff its text is the stem's, or the stem's head and a `,`."""
-    merged: dict[Node, set[int]] = {}
+    atoms = []
     head = stem_text[:-1] + ","
     for atom in text.split(";"):
         key, _, steps = atom.partition(":{")
         if not (stem_text == "[]" or key == stem_text or key.startswith(head)):
             raise ValueError
-        merged.setdefault(parse_seq(key), set()).update(_entries(steps[:-1], steps))
-    exclusions = _canonical_exclusions(merged)
+        atoms.append((parse_seq(key), _entries(steps[:-1], steps)))
+    exclusions = _canonical_exclusions(atoms)
     if _render_exclusions(exclusions) != f"excl{{{text}}}":
         raise ValueError
     return exclusions

@@ -308,8 +308,10 @@ def extend_in_A(
     witness at the first node t of a walk from T's stem that has one.
     Below a node with none, the walk takes the least enumerated progress
     step that is legal in T and lies outside A (None disables avoidance);
-    it stays inside T, so each probe tests only its own step.  W's stem
-    is checked once, and W meets T restricted to t.
+    it stays inside T, so each probe tests only its own step.  The walk
+    makes at most `fuel` probes, as `code_step` and `rank_bounded` do:
+    the next one raises FuelExhausted.  W's stem is checked once, and W
+    meets T restricted to t.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -317,11 +319,10 @@ def extend_in_A(
     if isinstance(D, PruningDenseSet):
         W = D.refine(T)
     elif isinstance(D, StemBasedDenseSet):
-        budget = fuel
+        probes = itertools.count(1)
         while (W := D.member_witness(t)) is None:
             for z in D.good_successors(t):
-                budget -= 1
-                if budget <= 0:
+                if next(probes) > fuel:
                     raise FuelExhausted(
                         f"no legal avoided successor of {quoted(render_seq(t))} within {fuel} probes"
                     )

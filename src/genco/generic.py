@@ -147,10 +147,6 @@ def _check_recorder(checks: list[CheckResult]):
     return add
 
 
-def _roster_configs(roster) -> list[dict]:
-    return [D.config() for D in roster]
-
-
 def build_coded_generic(
     roster: list[DenseSet],
     A: HelpSet | None,
@@ -182,7 +178,7 @@ def build_coded_generic(
             exc.step = i
             raise
     return RunTranscript(
-        roster_hash=roster_hash(_roster_configs(roster)),
+        roster_hash=roster_hash(roster),
         help_config=A.config() if A is not None else None,
         target_config=x.config() if x is not None else None,
         steps=steps,
@@ -266,7 +262,7 @@ def verify_transcript(
     """
     checks: list[CheckResult] = []
     add = _check_recorder(checks)
-    expected_hash = roster_hash(_roster_configs(roster))
+    expected_hash = roster_hash(roster)
     add("header.roster", "-", t.roster_hash == expected_hash,
         "hash {} != roster {}", t.roster_hash, expected_hash)
     help_cfg = A.config() if A is not None else None

@@ -21,9 +21,9 @@ from .errors import ConfigError, MalformedTranscript
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def roster_hash(configs: list[dict]) -> str:
-    """SHA-256 of the canonical JSON of a list of dense-set configs."""
-    return hashlib.sha256(canonical_json(configs).encode("ascii")).hexdigest()
+def roster_hash(roster) -> str:
+    """SHA-256 of the canonical JSON of a roster's dense-set configs."""
+    return hashlib.sha256(canonical_json([D.config() for D in roster]).encode("ascii")).hexdigest()
 
 
 def render_seq(xs) -> str:

@@ -103,7 +103,6 @@ from genco.generic import (
     RunTranscript,
     TranscriptEntry,
     VerificationReport,
-    _roster_configs,
 )
 from genco.serialize import (
     canonical_json,
@@ -184,7 +183,7 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
         for key, steps in side.exclusions:
             if is_prefix(stem, key):
                 merged.setdefault(key, set()).update(steps)
-    return HechlerCondition._trusted(stem, _canonical_exclusions(merged), floor_max(T1.floor, T2.floor))
+    return HechlerCondition._trusted(stem, _canonical_exclusions(merged.items()), floor_max(T1.floor, T2.floor))
 
 
 def _first_bad_prefix(T1: HechlerCondition, u: Node) -> Node:
@@ -284,7 +283,7 @@ def verify_transcript(
     def add(check: str, locus: str, ok: bool, detail: str = ""):
         checks.append(CheckResult(check, locus, ok, "" if ok else detail))
 
-    expected_hash = roster_hash(_roster_configs(roster))
+    expected_hash = roster_hash(roster)
     add("header.roster", "-", t.roster_hash == expected_hash,
         f"hash {t.roster_hash} != roster {expected_hash}")
     help_cfg = A.config() if A is not None else None
@@ -564,9 +563,9 @@ def verify_pair(roster1, roster2, x, t: SnapshotPair) -> VerificationReport:
     def add(check: str, locus: str, ok: bool, detail: str = ""):
         checks.append(CheckResult(check, locus, ok, "" if ok else detail))
 
-    add("header.roster1", "-", t.roster1_hash == roster_hash([D.config() for D in roster1]),
+    add("header.roster1", "-", t.roster1_hash == roster_hash(roster1),
         "roster1 hash mismatch")
-    add("header.roster2", "-", t.roster2_hash == roster_hash([D.config() for D in roster2]),
+    add("header.roster2", "-", t.roster2_hash == roster_hash(roster2),
         "roster2 hash mismatch")
     add("header.target", "-", canonical_json(t.target_config) == canonical_json(x.config()),
         "target mismatch")

@@ -777,7 +777,7 @@ class TestTooLarge:
             D = cohen_from_config(dict(dense, n=bits + dense["n"]) if "n" in dense else dense)
             x = EventuallyPeriodicSeq((), (0,))
             p, q = bytes(bits) + b"\x01", bytes(bits + 1)
-            t = oracles.pair_from_snapshots(roster_hash([D.config()]), roster_hash([]), x.config(), 1,
+            t = oracles.pair_from_snapshots(roster_hash([D]), roster_hash([]), x.config(), 1,
                                             [oracles.PairStage(0, p, q)], p, q)
             return D, x, t
 
@@ -806,7 +806,7 @@ class TestTooLarge:
         cf.write_text(json.dumps(cfg))
         code, out, err, seconds = run_genco(["build", "--config", str(cf), "--out", str(tmp_path / "t")], fuel="2000")
         assert code == EXIT_FUEL and out == "" and "Traceback" not in err
-        node = f"[{','.join(['1'] * 999)}]"
+        node = f"[{','.join(['1'] * 1000)}]"
         assert err == (
             f"fuel exhausted: no legal avoided successor of {node[:QUOTE_CAP]!r}... "
             f"({len(node)} characters) within 2000 probes (step 0)\n"
@@ -815,6 +815,15 @@ class TestTooLarge:
         assert seconds < 2
         # the transcript file is opened only once the build is done
         assert not (tmp_path / "t").exists()
+
+    def test_walk_makes_every_probe_of_the_fuel(self, tmp_path):
+        # the walk tests the even 0, then takes 1: two probes, all the fuel
+        dense = [{"type": "stem_length", "n": 1}]
+        cfg = dict(HECHLER_CFG, target={"prefix": [], "cycle": [0]}, dense=dense, steps=1)
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps(cfg))
+        code, out, err, _ = run_genco(["build", "--config", str(cf), "--out", str(tmp_path / "t")], fuel="2")
+        assert (code, out, err) == (EXIT_OK, "[1,0]\n", "")
 
     def test_rank_search_is_not_recursive(self):
         # 1200 levels of one node each: deeper than the recursion limit

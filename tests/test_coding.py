@@ -29,6 +29,7 @@ from genco import (
 )
 from genco.coding import prefix_code
 from genco.primes import nth_prime
+from genco.serialize import str_digit_limit
 import oracles
 from conftest import random_seq
 
@@ -204,6 +205,19 @@ class TestSelfCode:
         assert A._codes == [1]
         assert time.perf_counter() - start < 0.5
 
+    def test_huge_first_element_exhausts_fuel_at_once(self):
+        # 2 ** (10**6 + 1) has about 301030 digits: no power is taken
+        A = SelfCode(EventuallyPeriodicSeq((), (10**6,)))
+        start = time.perf_counter()
+        with pytest.raises(FuelExhausted) as info:
+            A.enumerate(0)
+        assert str(info.value) == (
+            "selfcode element 0 has more than 100000 digits, past both the fuel "
+            f"and the {str_digit_limit()}-digit limit of str(int)"
+        )
+        assert A._codes == [1]
+        assert time.perf_counter() - start < 0.5
+
     def test_recover_every_second(self):
         abar = EventuallyPeriodicSeq((2, 0, 1, 1), (1,))
         stream = (selfcode_element(abar, n) for n in range(0, 100, 2))
@@ -220,8 +234,9 @@ class TestSelfCode:
         assert info.value.value == 9
 
     def test_stalling_stream_exhausts_fuel(self):
-        with pytest.raises(FuelExhausted):
-            recover_from_subset(iter([2, 6]), 5, fuel=10)
+        for n, fuel in [(5, 10), (5, -1), (-1, -1)]:
+            with pytest.raises(FuelExhausted):
+                recover_from_subset(iter([2, 6]), n, fuel=fuel)
 
     def test_recovery_from_sparse_subsets(self):
         rng = random.Random(99)
@@ -308,8 +323,10 @@ class TestDifference:
             assert all(not A.member(z) for z in found)
 
     def test_fuel_reported(self):
-        with pytest.raises(FuelExhausted):
-            difference_prefix(EVENS, EVENS, 1, fuel=500)
+        for fuel in (500, -1):
+            with pytest.raises(FuelExhausted):
+                difference_prefix(EVENS, EVENS, 1, fuel=fuel)
+            assert difference_prefix(EVENS, EVENS, -1, fuel=fuel) == []
 
 
 class TestConfigs:

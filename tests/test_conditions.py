@@ -594,6 +594,8 @@ class TestRendering:
             "stem=[1];excl{[1,2]:{3};[1,2]:{5}};floor(-)",  # a repeated key
             "stem=[1];excl{[1,3]:{3};[1,2]:{5}};floor(-)",  # keys out of order
             "stem=[1];excl{[1,2]:{}};floor(-)",
+            "stem=[1];excl{[2]:{3}};floor(-)",  # a key off the stem
+            "stem=[1];excl{[10]:{3}};floor(-)",  # a key whose text begins like the stem's
             "stem=[1];excl{[1,2]:{03}};floor(-)",
             "stem=[1];excl{[1,2]:{3}x};floor(-)",
             "stem=[1];excl{};floor(table=[5,3],a=1,b=2)",  # untrimmed: f(1) = 3

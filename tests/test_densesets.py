@@ -227,6 +227,12 @@ class TestExtendInA:
         with pytest.raises(FuelExhausted):
             extend_in_A(FULL_TREE, Starving(), None, fuel=50)
 
+    def test_walk_makes_exactly_fuel_probes(self):
+        # from the root the walk tests the even 0, then takes 1
+        assert extend_in_A(FULL_TREE, StemLengthSet(1), EVENS, fuel=2).stem == (1,)
+        with pytest.raises(FuelExhausted, match=r"^no legal avoided successor of '\[\]' within 1 probes$"):
+            extend_in_A(FULL_TREE, StemLengthSet(1), EVENS, fuel=1)
+
     def test_bad_witness_reported(self):
         class Lying(StemBasedDenseSet):
             def member_witness(self, s):
@@ -312,6 +318,13 @@ class TestCodeStep:
 
     def test_label_zero(self):
         assert code_step(FULL_TREE, EVENS, 0).stem == (0,)
+
+    def test_fuel_bounds_the_probes(self):
+        # above a floor of 100 the least label-0 even is 104, the 27th probe
+        T = HechlerCondition((), (), FloorRule((), 0, 100))
+        with pytest.raises(FuelExhausted, match="^no legal label-0 member of the help set within 26 probes$"):
+            code_step(T, EVENS, 0, 26)
+        assert code_step(T, EVENS, 0, 27).stem == (104,)
 
     def test_step_properties(self):
         rng = random.Random(77)
