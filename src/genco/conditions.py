@@ -278,7 +278,7 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     if not _contains(short, long.stem):
         return None
     stem = long.stem
-    atoms = (atom for side in (short, long) for atom in side.exclusions if is_prefix(stem, atom[0]))
+    atoms = (atom for atom in short.exclusions + long.exclusions if is_prefix(stem, atom[0]))
     excl, floor = _canonical_exclusions(atoms), floor_max(T1.floor, T2.floor)
     for side in (long, short):
         if side.stem is stem and side.floor is floor and side.exclusions == excl:
