@@ -315,7 +315,9 @@ def recover_from_subset(elements, n: int, fuel: int = DEFAULT_FUEL) -> tuple[int
     """Read off the first n entries of abar from any infinite subset of
     its self-coding set: the first element whose code length reaches n
     settles the answer.  Malformed elements are reported with the value;
-    a stalling stream exhausts the fuel."""
+    a stalling stream exhausts the fuel; a negative n is a ValueError."""
+    if n < 0:
+        raise ValueError(f"entry count {n} is negative")
     if n == 0:
         return ()
     for z in itertools.islice(elements, max(fuel, 0)):
@@ -336,8 +338,9 @@ def decode(A: HelpSet, g, fuel: int = DEFAULT_FUEL) -> tuple[int, ...]:
 
 def difference_prefix(B, A, count: int, fuel: int = DEFAULT_FUEL) -> list[int]:
     """First `count` elements of B - A, scanning at most the first `fuel`
-    elements of B's enumeration."""
-    outside = (z for z in map(B.enumerate, range(fuel)) if not A.member(z))
+    elements of B's enumeration; each lookup in B gets the same fuel."""
+    elements = (B.enumerate(i, fuel) for i in range(fuel))
+    outside = (z for z in elements if not A.member(z))
     out = list(itertools.islice(outside, max(count, 0)))
     if len(out) >= count:
         return out

@@ -8,12 +8,23 @@ files depend on it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import sys
 
 from .errors import ConfigError, MalformedTranscript
+
+# The interpreter's builtin SHA-256 (FIPS 180-4, the same digest as
+# hashlib's): `hashlib` would map OpenSSL's libcrypto into every
+# process to hash one roster.  Builds that leave the module out fall
+# back to hashlib.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 # sorted keys and no whitespace; one encoder serves every call, where
@@ -23,7 +34,7 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def roster_hash(roster) -> str:
     """SHA-256 of the canonical JSON of a roster's dense-set configs."""
-    return hashlib.sha256(canonical_json([D.config() for D in roster]).encode("ascii")).hexdigest()
+    return sha256(canonical_json([D.config() for D in roster]).encode("ascii")).hexdigest()
 
 
 def render_seq(xs) -> str:

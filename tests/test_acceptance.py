@@ -112,7 +112,7 @@ def test_criterion_5_outside_elements():
 
     class Omega:
         @staticmethod
-        def enumerate(n):
+        def enumerate(n, fuel):
             return n
 
     evens, primes = Evens(), Primes()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -20,7 +22,16 @@ from genco.cli import (
     ConfigError,
     parse_config,
 )
-from genco import EventuallyPeriodicSeq, build_pair, cohen_from_config, verify_pair, write_pair_transcript
+from genco import (
+    DominateSet,
+    EventuallyPeriodicSeq,
+    FloorRule,
+    StemLengthSet,
+    build_pair,
+    cohen_from_config,
+    verify_pair,
+    write_pair_transcript,
+)
 from genco.serialize import QUOTE_CAP, canonical_json, quoted, roster_hash, str_digit_limit
 import oracles
 from corpus import CONFIG_DIR, GOLDEN_DIR, REPO, build_transcript, corpus_paths, run_cli
@@ -425,6 +436,54 @@ class TestVerifyMode:
         code, out, err = run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "config error at target: coded transcript needs a target in the config\n"
+
+
+class TestEdgeRuns:
+    """Runs at the edges of the verifier's checks: a floor that the tree
+    must keep, and runs of no steps."""
+
+    def _verify(self, tmp_path, cfg: dict, command: str = "build", edit=lambda text: text):
+        cf, tf = tmp_path / "c.json", tmp_path / "t"
+        cf.write_text(json.dumps(cfg))
+        assert run_cli([command, "--config", str(cf), "--out", str(tf)])[0] == EXIT_OK
+        tf.write_text(edit(tf.read_text()))
+        return run_cli(["verify", "--config", str(cf), "--transcript", str(tf)])
+
+    def test_meet_line_dropping_the_floor_fails(self, tmp_path):
+        # dominate a=0 b=0 asks for a floor past an empty table; the
+        # floorless tree does not extend it
+        cfg = _edit(_dense({"type": "dominate", "table": [], "a": 0, "b": 0}), steps=1)
+        meet = "MEET 0 stem=[];excl{};floor(table=[],a=0,b=0)\n"
+
+        def drop(text):
+            assert meet in text
+            return text.replace(meet, "MEET 0 stem=[];excl{};floor(-)\n")
+
+        code, out, err = self._verify(tmp_path, cfg, edit=drop)
+        assert (code, err) == (EXIT_VERIFY, "")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL meet.member @entry 0 condition not a member of dense set 0", "FAIL"]
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("build", dict(json.loads((CONFIG_DIR / "build_evens_stemlen.json").read_text()), steps=0)),
+        ("cohen", _edit(COHEN_CFG, dense=[], dense2=[], stages=0)),
+    ], ids=["hechler", "cohen"])
+    def test_zero_step_run_passes(self, tmp_path, command, cfg):
+        code, out, err = self._verify(tmp_path, cfg, command)
+        assert (code, out.splitlines()[-1], err) == (EXIT_OK, "PASS", "")
+        assert "FAIL" not in out
+
+    def test_zero_stage_pair_run_leaves_its_rosters_unmet(self, tmp_path):
+        # a pair run must meet every set of both rosters, so with a set
+        # to meet, the honest 0-stage run fails coverage alone
+        code, out, err = self._verify(tmp_path, _edit(COHEN_CFG, stages=0), "cohen")
+        assert (code, err) == (EXIT_VERIFY, "")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [
+            "FAIL coverage.roster1 @- unmet dense sets [0]",
+            "FAIL coverage.roster2 @- unmet dense sets [0]",
+            "FAIL",
+        ]
 
 
 class TestPairStageNumbers:
@@ -980,6 +1039,38 @@ class TestStartUp:
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (p.returncode, p.stdout, p.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+        reason="this interpreter has no builtin SHA-256 module",
+    )
+    def test_import_loads_no_hashlib(self):
+        # roster_hash takes the builtin sha256, so OpenSSL stays unmapped
+        code = "import sys, genco, genco.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (p.returncode, p.stdout, p.stderr) == (0, "[]\n", "")
+
+    def test_roster_hash_is_hashlib_sha256(self):
+        for path in corpus_paths():
+            run = parse_config(path.read_text())
+            rosters = run.cohen_rosters() if run.poset == "cohen" else (run.roster(),)
+            for roster in rosters:
+                text = canonical_json([D.config() for D in roster])
+                assert roster_hash(roster) == hashlib.sha256(text.encode("ascii")).hexdigest(), path.name
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # with both builtin modules blocked, the import falls back to hashlib
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib, genco, genco.serialize as s\n"
+            "roster = [genco.StemLengthSet(3), genco.DominateSet(genco.FloorRule((1, 2), 0, 3))]\n"
+            "print(s.sha256 is hashlib.sha256, s.roster_hash(roster))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        roster = [StemLengthSet(3), DominateSet(FloorRule((1, 2), 0, 3))]
+        assert (p.returncode, p.stdout, p.stderr) == (0, f"True {roster_hash(roster)}\n", "")
 
     def test_help_and_missing_command(self):
         code, out, err, _ = run_genco(["--help"])

@@ -234,9 +234,15 @@ class TestSelfCode:
         assert info.value.value == 9
 
     def test_stalling_stream_exhausts_fuel(self):
-        for n, fuel in [(5, 10), (5, -1), (-1, -1)]:
+        for n, fuel in [(5, 10), (5, -1)]:
             with pytest.raises(FuelExhausted):
                 recover_from_subset(iter([2, 6]), n, fuel=fuel)
+
+    def test_negative_count_rejected(self):
+        # 2 * 3**2 * 5 codes (0, 1, 0): a negative n once cut it to (0, 1)
+        for stream, fuel in [([2 * 3**2 * 5], 100), ([2, 6], -1)]:
+            with pytest.raises(ValueError, match="entry count -1 is negative"):
+                recover_from_subset(iter(stream), -1, fuel=fuel)
 
     def test_recovery_from_sparse_subsets(self):
         rng = random.Random(99)
@@ -300,7 +306,7 @@ class TestDecode:
 class TestDifference:
     class _Omega:
         @staticmethod
-        def enumerate(n):
+        def enumerate(n, fuel):
             return n
 
     def test_outside_elements_found(self):
@@ -327,6 +333,13 @@ class TestDifference:
             with pytest.raises(FuelExhausted):
                 difference_prefix(EVENS, EVENS, 1, fuel=fuel)
             assert difference_prefix(EVENS, EVENS, -1, fuel=fuel) == []
+
+    def test_fuel_reaches_the_enumeration(self):
+        # B's lookups take the caller's fuel, not the default: prime
+        # index 100000 lies within a fuel of 200000
+        with pytest.raises(FuelExhausted) as info:
+            difference_prefix(PRIMES, PRIMES, 1, fuel=200_000)
+        assert str(info.value) == "found 0/1 elements outside A within 200000 probes"
 
 
 class TestConfigs:

@@ -354,6 +354,11 @@ class TestMember:
     def test_dominate_violation_found(self):
         assert DominateSet(FloorRule((), 0, 4)).member(FULL_TREE) is False
 
+    def test_dominate_zero_floor_needs_a_floor(self):
+        # a=0 b=0 past an empty table still asks for a floor, which the
+        # floorless tree lacks
+        assert DominateSet(FloorRule((), 0, 0)).member(HechlerCondition()) is False
+
     def test_dominate_masked_is_member(self):
         # the only sub-floor steps at the stem are excluded by atoms, and
         # above the stem the floor already clears the rule
