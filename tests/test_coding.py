@@ -239,7 +239,7 @@ class TestSelfCode:
                 recover_from_subset(iter([2, 6]), n, fuel=fuel)
 
     def test_negative_count_rejected(self):
-        # 2 * 3**2 * 5 codes (0, 1, 0): a negative n once cut it to (0, 1)
+        # 2 * 3**2 * 5 codes (0, 1, 0); a negative n must not cut it short
         for stream, fuel in [([2 * 3**2 * 5], 100), ([2, 6], -1)]:
             with pytest.raises(ValueError, match="entry count -1 is negative"):
                 recover_from_subset(iter(stream), -1, fuel=fuel)
