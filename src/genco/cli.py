@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import NamedTuple
 
 from . import cohenpair, generic
 from .coding import EventuallyPeriodicSeq, HelpSet, decode, help_set_from_config
 from .densesets import DEFAULT_FUEL, DenseSet, StemBasedDenseSet, dense_from_config, rank_bounded
 from .errors import ConfigError, FuelExhausted, MalformedTranscript
+from .frozen import Record
 from .serialize import (
     build_at,
     check_keys,
@@ -62,7 +62,7 @@ def _load_json(text: str, path: str):
         raise ConfigError(path, f"JSON number of more than {str_digit_limit()} digits") from None
 
 
-class RunConfig(NamedTuple):
+class RunConfig(Record):
     """A checked run: its poset, its step (or stage) count and the
     objects built from its config."""
 

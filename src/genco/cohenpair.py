@@ -26,10 +26,9 @@ one spelling, the writer's.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .coding import EventuallyPeriodicSeq
 from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
+from .frozen import Record
 from .generic import CheckResult, VerificationReport, _check_recorder
 from .serialize import BitsCodec, canonical_json, check_keys, nat, parse_bits, parse_json, parse_nat
 from .serialize import quoted, render_bits, roster_hash, tagged_line, transcript_lines
@@ -148,7 +147,7 @@ def cohen_from_config(cfg, path: str = "dense") -> CohenDense:
     raise ConfigError(f"{path}.type", f"unknown cohen dense type {t!r}")
 
 
-class PairRecord(NamedTuple):
+class PairRecord(Record):
     """A STAGE line: the previous p cut to `p_keep` bits, then `p_new`;
     likewise q."""
 
@@ -159,7 +158,7 @@ class PairRecord(NamedTuple):
     q_new: Bits
 
 
-class PairTranscript(NamedTuple):
+class PairTranscript(Record):
     roster1_hash: str
     roster2_hash: str
     target_config: dict

@@ -24,9 +24,7 @@ through `HechlerCondition._trusted` and the private `_contains` and
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .frozen import Frozen
+from .frozen import Frozen, Record
 from .serialize import SeqCodec, _entries, parse_nat, parse_seq, quoted, render_seq
 
 Node = tuple[int, ...]
@@ -47,7 +45,7 @@ def comparable(a: Node, b: Node) -> bool:
     return is_prefix(a, b) or is_prefix(b, a)
 
 
-class ExtendsAnswer(NamedTuple):
+class ExtendsAnswer(Record):
     """YES when empty; a NO carries a witness node, a reason, or both."""
 
     witness: Node | None = None
@@ -116,11 +114,10 @@ def least_floor_gap(f2: FloorRule | None, f1: FloorRule, from_level: int) -> int
             return n
     a2 = f2.slope if f2 else 0
     b2 = f2.intercept if f2 else -1
-    if a2 > f1.slope:
-        # steeper tail: f2 - f1 grows from `stop` on, so a gap shows there or nowhere
+    if a2 >= f1.slope:
+        # tail as steep or steeper: f2 - f1 does not shrink from `stop` on,
+        # so a gap shows there or nowhere
         return stop if _floor_at(f2, stop) < f1.value(stop) else None
-    if a2 == f1.slope:
-        return stop if b2 < f1.intercept else None
     # shallower tail: gap opens where (a1-a2)*l > b2-b1
     first = (b2 - f1.intercept) // (f1.slope - a2) + 1
     return max(stop, first)

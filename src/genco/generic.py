@@ -28,7 +28,6 @@ parse to one transcript.  The pair verifier shares the check recorder.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 from .coding import EventuallyPeriodicSeq, HelpSet, eta
 from .conditions import (
@@ -43,6 +42,7 @@ from .conditions import (
 )
 from .densesets import DEFAULT_FUEL, DenseSet, code_step, extend_in_A
 from .errors import FuelExhausted, MalformedTranscript
+from .frozen import Record
 from .serialize import canonical_json, parse_json, parse_nat, parse_seq, render_seq, roster_hash
 from .serialize import tagged_line, transcript_lines
 
@@ -50,7 +50,7 @@ MEET = "MEET"
 CODE = "CODE"
 
 
-class TranscriptEntry(NamedTuple):
+class TranscriptEntry(Record):
     """One MEET or CODE line with its full condition."""
 
     kind: str  # MEET or CODE
@@ -59,7 +59,7 @@ class TranscriptEntry(NamedTuple):
     z: int | None = None  # the coded stem entry (CODE only)
 
 
-class RunRecord(NamedTuple):
+class RunRecord(Record):
     """One MEET or CODE line as the delta of its condition from the line
     before: the previous stem cut to `keep` entries, then `new`, with the
     line's own atoms and floor.  A tuple, since a transcript holds one per
@@ -85,7 +85,7 @@ def _conditions(records):
         yield T
 
 
-class RunTranscript(NamedTuple):
+class RunTranscript(Record):
     roster_hash: str
     help_config: dict | None
     target_config: dict | None
@@ -101,7 +101,7 @@ class RunTranscript(NamedTuple):
             yield TranscriptEntry(r.kind, r.index, T, r.z)
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
     """One verifier check; a tuple, since a report holds several per
     transcript line.  `detail` says why a failed check failed; it is
     computed only on failure, so a passing check has detail ``""``."""
@@ -112,7 +112,7 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(Record):
     checks: tuple[CheckResult, ...]
 
     @property

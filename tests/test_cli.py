@@ -1035,10 +1035,29 @@ class TestStartUp:
 
     def test_import_loads_no_dataclasses_inspect_or_argparse(self):
         # -S: no site hooks, so only what genco itself imports is loaded
-        code = "import sys, genco, genco.cli; print(sorted({'dataclasses', 'inspect', 'argparse'} & set(sys.modules)))"
+        code = (
+            "import sys, genco, genco.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))"
+        )
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert (p.returncode, p.stdout, p.stderr) == (0, "[]\n", "")
+
+    def test_import_compiles_no_source_string(self):
+        # a NamedTuple evals its __new__ and compiles each string annotation;
+        # a Record reads only the annotations' names.  The stdlib modules
+        # genco uses are imported before the hook, so only genco is watched.
+        code = (
+            "import array, bisect, collections, functools, itertools, json, math, operator, sys\n"
+            "compiled = []\n"
+            "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>'"
+            " and compiled.append(args[0]))\n"
+            "import genco, genco.cli\n"
+            "print(len(compiled))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        p = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (p.returncode, p.stdout, p.stderr) == (0, "0\n", "")
 
     @pytest.mark.skipif(
         not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),

@@ -27,7 +27,7 @@ from genco.cli import parse_config
 from genco.cohenpair import CohenDense, PairTranscript
 import oracles
 from conftest import random_bit_seq
-from corpus import CONFIG_DIR
+from corpus import CONFIG_DIR, GOLDEN_DIR
 from test_generic import _retained
 
 
@@ -342,3 +342,40 @@ class TestVerifierOracle:
         else:
             assert not any(r.ok for r in reports)
             assert failed & {"chain", "footer.c1", "footer.c2"}
+
+
+def _shared(a: bytes, b: bytes) -> int:
+    return next((i for i, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+
+
+def _recut_pair(rng: random.Random, t: PairTranscript):
+    """`t` with each record rewritten to a random `p_keep` and `q_keep` up
+    to the prefix each string shares with the one before, the dropped bits
+    added back to `p_new` and `q_new`; and the number of strings that
+    extend the one before but keep less of it.  The parser writes no such
+    record."""
+    records, prev, short = [], oracles.PairStage(-1, b"", b""), 0
+    for r, s in zip(t.records, oracles.pair_snapshots(t)):
+        p_keep, q_keep = rng.randint(0, _shared(prev.p, s.p)), rng.randint(0, _shared(prev.q, s.q))
+        short += (s.p.startswith(prev.p) and p_keep < len(prev.p)) + (s.q.startswith(prev.q) and q_keep < len(prev.q))
+        records.append(r._replace(p_keep=p_keep, p_new=s.p[p_keep:], q_keep=q_keep, q_new=s.q[q_keep:]))
+        prev = s
+    return t._replace(records=tuple(records)), short
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("cohen*.transcript")), ids=lambda p: p.stem)
+def test_pair_records_cut_at_any_keep_verify_like_parsed_ones(path):
+    # every record kept to its shared prefix is the same stage: the pair
+    # verifier gives the checks it gives on the parser's records
+    cfg = parse_config((CONFIG_DIR / f"{path.stem}.json").read_text())
+    honest = parse_pair_transcript(path.read_text())
+    assert verify_pair(cfg.dense, cfg.dense2, cfg.x, honest).ok
+    rng = random.Random(f"recut-{path.stem}")
+    short = 0
+    for t in [honest] + [forge_pair(rng, honest, kind) for kind in FORGERIES]:
+        want = verify_pair(cfg.dense, cfg.dense2, cfg.x, t).checks
+        for _ in range(5):
+            cut, n = _recut_pair(rng, t)
+            assert verify_pair(cfg.dense, cfg.dense2, cfg.x, cut).checks == want
+            short += n
+    assert short > 0

@@ -29,6 +29,7 @@ from genco import (
 from genco.cli import parse_config
 from genco.conditions import floor_gap_witness
 from genco.errors import MalformedTranscript
+from genco.generic import CheckResult
 import oracles
 from conftest import node_in, random_condition, random_help, random_roster, random_seq
 from corpus import CONFIG_DIR, GOLDEN_DIR
@@ -280,3 +281,22 @@ def test_records_cut_at_any_keep_verify_like_parsed_ones(path):
             assert assert_same_verify(roster, A, x, cut) == (want[2][-1] == "PASS")
             short += n
     assert short > 0
+
+
+@pytest.mark.parametrize("path", [p for p in CODED_GOLDENS if p.stem.startswith("build")], ids=lambda p: p.stem)
+def test_help_set_without_target_checks_no_coding(path):
+    # a library call with a help set and no target checks the help set's
+    # lines but codes nothing: no code.value or decode.prefix check is made,
+    # and only the TARGET header, which the transcript sets, fails
+    roster, A, x, text = golden_inputs(path)
+    t = parse_transcript(text)
+    assert A is not None and x is not None and verify_transcript(roster, A, x, t).ok
+    report = verify_transcript(roster, A, None, t)
+    assert {c.check for c in report.checks} == {
+        "header.roster", "header.help", "header.target", "structure",
+        "chain.extends", "meet.member", "meet.avoid", "code.step", "footer.g",
+    }
+    assert report.failures() == (
+        CheckResult("header.target", "-", False, f"transcript target {t.target_config} != None"),
+    )
+    assert not assert_same_verify(roster, A, None, t)
