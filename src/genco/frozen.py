@@ -58,7 +58,6 @@ class _RecordType(type):
         fields = tuple(ns.get("__annotations__", ()))
         ns["__slots__"] = ()
         ns["_fields"] = fields
-        ns["_size"] = len(fields)
         ns["_field_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
         for i, f in enumerate(fields):
             ns[f] = _tuplegetter(i, f"Alias for field number {i}")
@@ -67,7 +66,7 @@ class _RecordType(type):
 
 class Record(tuple, metaclass=_RecordType):
     def __new__(cls, *args, **kwargs):
-        if len(args) == cls._size and not kwargs:
+        if len(args) == len(cls._fields) and not kwargs:
             return _tuple_new(cls, args)
         return _tuple_new(cls, cls._values_of(args, kwargs))
 

@@ -137,7 +137,7 @@ def _check_recorder(checks: list[CheckResult]):
     `checks`; `detail` is a `str.format` template, filled in with `args`
     only when the check fails.  Both verifiers record every check here.
     Each record is built as a plain tuple of `CheckResult`'s four fields,
-    skipping the generated `__new__`."""
+    skipping `Record.__new__`."""
     append, make = checks.append, tuple.__new__
 
     def add(check: str, locus: str, ok: bool, detail: str, *args):
