@@ -59,7 +59,10 @@ class EventuallyPeriodicSeq(Frozen):
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
     def values(self, n: int) -> tuple[int, ...]:
-        return tuple(self.value(i) for i in range(n))
+        """`(value(0), ..., value(n - 1))`, cut from the prefix and whole
+        and partial cycles; `()` for n <= 0."""
+        k, r = divmod(max(n - len(self.prefix), 0), len(self.cycle))
+        return self.prefix[: max(n, 0)] + self.cycle * k + self.cycle[:r]
 
     def config(self) -> dict:
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}

@@ -21,17 +21,22 @@ holds per line only the bits each snapshot adds (a `PairRecord`).  The
 writer and parser work on these deltas through `BitsCodec`; the
 verifier builds the snapshots one stage at a time.  Stage numbers are
 read by `parse_nat` and the target by `parse_json`, so each field has
-one spelling, the writer's.
+one spelling, the writer's.  The parser reads the text in place, by
+offset: it keeps no list of lines, and of each STAGE line it copies only
+the three fields.  The ones-are-coded check and `decode_pair` read c2 at
+the 1-positions of c1 in C-level passes (`itertools.compress`, `map`).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .coding import EventuallyPeriodicSeq
 from .errors import DEFAULT_FUEL, ConfigError, DenseContractError, FuelExhausted, MalformedTranscript
 from .frozen import Record
 from .generic import CheckResult, VerificationReport, _check_recorder
 from .serialize import BitsCodec, canonical_json, check_keys, nat, parse_bits, parse_json, parse_nat
-from .serialize import quoted, render_bits, roster_hash, tagged_line, transcript_lines
+from .serialize import quoted, render_bits, roster_hash, tagged_line
 
 
 Bits = bytes  # 0/1 values
@@ -223,16 +228,16 @@ def build_pair(
 
 
 def decode_pair(c1: Bits, c2: Bits, count: int) -> tuple[int, ...]:
-    """Target bits read off c2 at the first `count` 1-positions of c1."""
-    ones = [m for m, b in enumerate(c1) if b == 1]
+    """Target bits read off c2 at the first `count` 1-positions of c1;
+    a negative count is a ValueError."""
+    if count < 0:
+        raise ValueError(f"bit count {count} is negative")
+    ones = list(itertools.islice(itertools.compress(itertools.count(), c1), count))
     if len(ones) < count:
         raise ValueError(f"c1 has only {len(ones)} ones, need {count}")
-    out = []
-    for m in ones[:count]:
-        if m >= len(c2):
-            raise ValueError(f"position {m} outside c2")
-        out.append(c2[m])
-    return tuple(out)
+    if ones and ones[-1] >= len(c2):
+        raise ValueError(f"position {next(m for m in ones if m >= len(c2))} outside c2")
+    return tuple(map(c2.__getitem__, ones))
 
 
 def pair_transcript_fragments(t: PairTranscript):
@@ -253,21 +258,43 @@ def write_pair_transcript(t: PairTranscript) -> str:
 
 
 def parse_pair_transcript(text: str) -> PairTranscript:
-    """Inverse of `write_pair_transcript`; raises MalformedTranscript."""
-    lines = transcript_lines(text, 6, "pair transcript too short")
+    """Inverse of `write_pair_transcript`; raises MalformedTranscript.
+    One pass over `text` by offset: the headers end at its first four
+    line ends, the footers start after its last three, and each STAGE
+    line is checked in place, so only its fields are copied."""
+    if text and not text.endswith("\n"):
+        raise MalformedTranscript("transcript does not end with a newline")
+    heads, pos = [], 0
+    for _ in range(4):
+        end = text.find("\n", pos)
+        if end < 0:
+            raise MalformedTranscript("pair transcript too short")
+        heads.append(text[pos:end])
+        pos = end + 1
+    c2_at = text.rfind("\n", 0, len(text) - 1) + 1
+    c1_at = text.rfind("\n", 0, c2_at - 1) + 1
+    if c1_at < pos:
+        raise MalformedTranscript("pair transcript too short")
     try:
-        h1, h2 = tagged_line(lines, 0, "ROSTER1"), tagged_line(lines, 1, "ROSTER2")
-        target = parse_json(tagged_line(lines, 2, "TARGET"))
-        stages = parse_nat(tagged_line(lines, 3, "STAGES"))
+        h1, h2 = tagged_line(heads[0], 1, "ROSTER1"), tagged_line(heads[1], 2, "ROSTER2")
+        target = parse_json(tagged_line(heads[2], 3, "TARGET"))
+        stages = parse_nat(tagged_line(heads[3], 4, "STAGES"))
         records = []
+        append, make = records.append, tuple.__new__
         parse_p, parse_q = BitsCodec().parse, BitsCodec().parse
-        for line in lines[4:-2]:
-            parts = line.split(" ")
-            if len(parts) != 6 or parts[0] != "STAGE" or parts[2] != "P" or parts[4] != "Q":
-                raise MalformedTranscript(f"bad stage line: {quoted(line)}")
-            records.append(PairRecord(parse_nat(parts[1]), *parse_p(parts[3]), *parse_q(parts[5])))
-        c1 = parse_bits(tagged_line(lines, len(lines) - 2, "C1"))
-        c2 = parse_bits(tagged_line(lines, len(lines) - 1, "C2"))
+        while pos < c1_at:
+            # `STAGE i P p Q q`, with no other space
+            end = text.find("\n", pos)
+            i_end = text.find(" ", pos + 6, end)
+            p_end = text.find(" ", i_end + 3, end) if i_end > 0 else -1
+            if (p_end < 0 or not text.startswith("STAGE ", pos) or not text.startswith(" P ", i_end)
+                    or not text.startswith(" Q ", p_end) or text.find(" ", p_end + 3, end) >= 0):
+                raise MalformedTranscript(f"bad stage line: {quoted(text[pos:end])}")
+            append(make(PairRecord, (parse_nat(text[pos + 6 : i_end]),
+                                     *parse_p(text[i_end + 3 : p_end]), *parse_q(text[p_end + 3 : end]))))
+            pos = end + 1
+        c1 = parse_bits(tagged_line(text[c1_at : c2_at - 1], len(records) + 5, "C1"))
+        c2 = parse_bits(tagged_line(text[c2_at:-1], len(records) + 6, "C2"))
     except ValueError as exc:
         raise MalformedTranscript(str(exc)) from exc
     return PairTranscript(h1, h2, target, stages, tuple(records), c1, c2)
@@ -317,14 +344,13 @@ def verify_pair(
     for check, met in (("coverage.roster1", met1), ("coverage.roster2", met2)):
         add(check, "-", all(met), "unmet dense sets {}", [i for i, m in enumerate(met) if not m])
 
-    j = 0
-    bad = None
-    for m, b in enumerate(t.c1):
-        if b == 1:
-            if m >= len(t.c2) or t.c2[m] != x.value(j):
-                bad = m
-                break
-            j += 1
+    # c2 read at the 1-positions of c1 that it reaches, against the
+    # target; the first bad position is looked for only when they differ
+    ones = list(itertools.compress(itertools.count(), t.c1))
+    reached = itertools.takewhile(len(t.c2).__gt__, ones)
+    j, bad = len(ones), None
+    if tuple(map(t.c2.__getitem__, reached)) != x.values(j):
+        bad = next(m for i, m in enumerate(ones) if m >= len(t.c2) or t.c2[m] != x.value(i))
     add("ones_coded", "-" if bad is None else f"position {bad}", bad is None,
         "a 1-position of c1 does not carry the next target bit")
     if bad is None:

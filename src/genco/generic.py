@@ -163,17 +163,19 @@ def build_coded_generic(
         raise ValueError("steps must be a natural")
     T = FULL_TREE
     records: list[RunRecord] = []
+    # each record a plain tuple of RunRecord's fields, as in _check_recorder
+    append, make = records.append, tuple.__new__
     for i in range(steps):
         try:
             if roster:
                 n = len(T.stem)
                 T = extend_in_A(T, roster[i % len(roster)], A, fuel)
-                records.append(RunRecord(MEET, i % len(roster), None, n, T.stem[n:], T.exclusions, T.floor))
+                append(make(RunRecord, (MEET, i % len(roster), None, n, T.stem[n:], T.exclusions, T.floor)))
             if A is not None:
                 n = len(T.stem)
                 T = code_step(T, A, x.value(i), fuel)
                 z = T.stem[-1]
-                records.append(RunRecord(CODE, i, z, n, (z,), T.exclusions, T.floor))
+                append(make(RunRecord, (CODE, i, z, n, (z,), T.exclusions, T.floor)))
         except FuelExhausted as exc:
             exc.step = i
             raise
@@ -212,13 +214,14 @@ def parse_transcript(text: str) -> RunTranscript:
     first line that breaks the format."""
     lines = transcript_lines(text, 5, "transcript too short")
     rhash, help_text, target_text, steps_text = (
-        tagged_line(lines, i, tag) for i, tag in enumerate(("ROSTER", "HELP", "TARGET", "STEPS")))
+        tagged_line(lines[i], i + 1, tag) for i, tag in enumerate(("ROSTER", "HELP", "TARGET", "STEPS")))
     try:
         help_cfg, target_cfg = parse_json(help_text), parse_json(target_text)
         steps = parse_nat(steps_text)
     except ValueError as exc:
         raise MalformedTranscript(f"bad header: {exc}") from exc
     records: list[RunRecord] = []
+    append, make = records.append, tuple.__new__
     if not lines[-1].startswith("G "):
         raise MalformedTranscript("missing footer")
     parse = ConditionCodec().parse
@@ -228,10 +231,10 @@ def parse_transcript(text: str) -> RunTranscript:
             # a MEET line has three fields, a CODE line four, none with a space
             parts = line.split(" ", 3)
             if parts[0] == MEET and len(parts) == 3:
-                records.append(RunRecord(MEET, parse_nat(parts[1]), None, *parse(parts[2])))
+                append(make(RunRecord, (MEET, parse_nat(parts[1]), None, *parse(parts[2]))))
             elif parts[0] == CODE and len(parts) == 4 and " " not in parts[3]:
                 index, delta, z = parse_nat(parts[1]), parse(parts[3]), parse_nat(parts[2])
-                records.append(RunRecord(CODE, index, z, *delta))
+                append(make(RunRecord, (CODE, index, z, *delta)))
             else:
                 raise MalformedTranscript(f"bad step on line {i}")
     except ValueError as exc:

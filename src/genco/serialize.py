@@ -252,11 +252,12 @@ def transcript_lines(text: str, least: int, short: str) -> list[str]:
     return lines
 
 
-def tagged_line(lines: list[str], idx: int, tag: str) -> str:
-    """The text after `tag` and one space on line `idx` of a transcript."""
-    if not lines[idx].startswith(tag + " "):
-        raise MalformedTranscript(f"expected {tag} on line {idx + 1}")
-    return lines[idx][len(tag) + 1 :]
+def tagged_line(line: str, number: int, tag: str) -> str:
+    """The text after `tag` and one space on `line`, line `number`
+    (counted from 1) of a transcript."""
+    if not line.startswith(tag + " "):
+        raise MalformedTranscript(f"expected {tag} on line {number}")
+    return line[len(tag) + 1 :]
 
 
 # Strict readers for decoded config JSON.  Each names the offending field

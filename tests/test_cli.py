@@ -156,6 +156,8 @@ REJECTED = [
      "dense[0].w", "expected a nonempty 0/1 string"),
     (_cohen(dense2=[{"type": "min_len", "n": -4}]), "dense2[0].n", "expected a natural number"),
     (_cohen(dense2=[{"type": "nope"}]), "dense2[0].type", "unknown cohen dense type 'nope'"),
+    (_cohen(dense=[{"w": "00"}]), "dense[0]", "expected a dense-set object with a type"),
+    (_cohen(dense2=[["min_len"]]), "dense2[0]", "expected a dense-set object with a type"),
     # the root
     (_edit(HECHLER_CFG, target={"prefix": [], "cycle": [1], "x": 1}), "target.x", "unknown key"),
     (_edit(HECHLER_CFG, steps=-1), "steps", "expected a natural number"),

@@ -71,6 +71,17 @@ class TestTheta:
                 prev = z
 
 
+class TestEventuallyPeriodic:
+    @pytest.mark.parametrize("prefix, cycle", [
+        ((), (0,)), ((), (7, 8, 9)), ((1, 2, 3), (4, 5)), ((1,), (2, 3, 4, 5, 6)), ((5, 6, 7, 8), (1,)),
+    ])
+    def test_values_are_the_values_in_order(self, prefix, cycle):
+        # cut from the prefix and whole and partial cycles, and empty for n <= 0
+        x = EventuallyPeriodicSeq(prefix, cycle)
+        for n in range(-2, 3 * (len(prefix) + len(cycle)) + 1):
+            assert x.values(n) == tuple(x.value(i) for i in range(n)), n
+
+
 class TestEta:
     def test_evens(self):
         assert eta(EVENS, 0) == 0

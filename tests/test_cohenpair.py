@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,12 @@ class TestDecodePair:
         with pytest.raises(ValueError):
             decode_pair((0, 0, 1), (1,), 1)
 
+    def test_negative_count_rejected(self):
+        # a negative count asks for nothing, not for all but its last bits
+        for count in (-1, -3):
+            with pytest.raises(ValueError, match=f"^bit count {count} is negative$"):
+                decode_pair((1, 1, 1), (1, 0, 1), count)
+
 
 class TestTranscript:
     def test_round_trip(self):
@@ -263,6 +270,23 @@ def test_held_memory_is_linear_in_the_stages(phase):
     assert held[1] <= 2.5 * held[0], held
 
 
+def test_parse_holds_no_line_list():
+    # the parser reads the text in place: its peak above its start is the
+    # records and one line's fields, not a list of the text's lines
+    raw = json.loads((CONFIG_DIR / "cohen_ends_contains.json").read_text())
+    cfg = parse_config(json.dumps(raw | {"stages": 1024}))
+    text = write_pair_transcript(build_pair(*cfg.cohen_rosters(), cfg.target(), 1024)[2])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parse_pair_transcript(text)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * len(text), (peak, len(text))
+
+
 def _flip(bits: bytes, m: int) -> bytes:
     return bits[:m] + bytes((1 - bits[m],)) + bits[m + 1 :]
 
@@ -289,6 +313,17 @@ def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscri
         snaps[i] = oracles.PairStage(s.index, s.p, s.q + b"\x00")
     elif kind == "footer":
         c1, c2 = (_flip(c1, rng.randrange(len(c1))), c2) if rng.random() < 0.5 else (c1, c2[:-1])
+    elif kind == "coded":
+        # c2 flipped at some 1-positions of c1 among the last stage's new
+        # bits, in that snapshot and in the C2 footer alike: the chain and
+        # the footers hold, only the coded bits are wrong
+        s, start = snaps[-1], len(snaps[-2].p)
+        ones = [m for m in range(start, len(s.p)) if s.p[m] == 1]
+        q = bytearray(s.q)
+        for m in rng.sample(ones, rng.randint(1, len(ones))):
+            q[m] ^= 1
+        snaps[-1] = oracles.PairStage(s.index, s.p, bytes(q))
+        c2 = bytes(q)
     elif kind == "unmet":
         # a shorter run, consistent in itself: the sets scheduled only
         # in the dropped stages go unmet
@@ -299,7 +334,7 @@ def forge_pair(rng: random.Random, t: PairTranscript, kind: str) -> PairTranscri
     return oracles.pair_from_snapshots(t.roster1_hash, t.roster2_hash, t.target_config, stages, snaps, c1, c2)
 
 
-FORGERIES = ("flip", "no_chain", "truncate", "unequal", "footer", "unmet")
+FORGERIES = ("flip", "no_chain", "truncate", "unequal", "footer", "coded", "unmet")
 
 
 class TestVerifierOracle:
@@ -339,9 +374,25 @@ class TestVerifierOracle:
             # a snapshot cut back no further than the one before, whose
             # stage still meets its set, is a run the verifier accepts
             assert "chain" in failed
+        elif kind == "coded":
+            assert not any(r.ok for r in reports) and failed == {"ones_coded"}
         else:
             assert not any(r.ok for r in reports)
             assert failed & {"chain", "footer.c1", "footer.c2"}
+
+
+    def test_coded_forgery_fails_at_its_first_flip(self):
+        # several flipped coded bits are reported at the first of them
+        rng = random.Random("forge-coded-locus")
+        several = 0
+        for _ in range(40):
+            r1, r2, x, t = self._run(rng)
+            forged = forge_pair(rng, t, "coded")
+            report = self._same_report(r1, r2, x, forged)
+            first = _shared(t.c2, forged.c2)
+            assert [(c.check, c.locus) for c in report.failures()] == [("ones_coded", f"position {first}")]
+            several += sum(map(int.__ne__, t.c2, forged.c2)) > 1
+        assert several > 0
 
 
 def _shared(a: bytes, b: bytes) -> int:
