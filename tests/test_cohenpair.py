@@ -380,7 +380,6 @@ class TestVerifierOracle:
             assert not any(r.ok for r in reports)
             assert failed & {"chain", "footer.c1", "footer.c2"}
 
-
     def test_coded_forgery_fails_at_its_first_flip(self):
         # several flipped coded bits are reported at the first of them
         rng = random.Random("forge-coded-locus")
