@@ -205,6 +205,8 @@ def build_pair(
             raise ValueError(f"target entry {b} at {i} is not a bit")
     p, q, j = b"", b"", 0
     records: list[PairRecord] = []
+    # each record a plain tuple of PairRecord's fields, as the parser makes them
+    append, make = records.append, tuple.__new__
     for i in range(stages):
         n = len(p)
         if roster1:
@@ -222,7 +224,7 @@ def build_pair(
         p += b"\x01"
         q += bytes((x.value(j),))
         j += 1
-        records.append(PairRecord(i, n, p[n:], n, q[n:]))
+        append(make(PairRecord, (i, n, p[n:], n, q[n:])))
     h1, h2 = roster_hash(roster1), roster_hash(roster2)
     return p, q, PairTranscript(h1, h2, x.config(), stages, tuple(records), p, q)
 

@@ -256,7 +256,7 @@ def _restrict(T: HechlerCondition, t: Node) -> HechlerCondition:
     t is T's own stem object."""
     if t is T.stem:
         return T
-    kept = tuple((k, s) for k, s in T.exclusions if is_prefix(t, k))
+    kept = T.exclusions and tuple((k, s) for k, s in T.exclusions if is_prefix(t, k))
     return HechlerCondition._trusted(t, kept, T.floor)
 
 
@@ -267,16 +267,23 @@ def meet(T1: HechlerCondition, T2: HechlerCondition) -> HechlerCondition | None:
     constraints (the intersection then has no infinite part).  A side
     the other adds nothing to, with the result's stem and floor objects
     and equal atoms, is returned itself, the longer-stemmed (or second)
-    side first.
+    side first.  That side comes back at once, with no atom or floor
+    work, when both sides are one object or the shorter-stemmed one has
+    neither atoms nor a floor; atoms are merged only when the shorter
+    side has some.
     """
     if not comparable(T1.stem, T2.stem):
         raise ValueError(f"stems {T1.stem} and {T2.stem} are incomparable")
     short, long = (T1, T2) if len(T1.stem) <= len(T2.stem) else (T2, T1)
+    if short is long or (not short.exclusions and short.floor is None):
+        return long
     if not _contains(short, long.stem):
         return None
     stem = long.stem
-    atoms = (atom for atom in short.exclusions + long.exclusions if is_prefix(stem, atom[0]))
-    excl, floor = _canonical_exclusions(atoms), floor_max(T1.floor, T2.floor)
+    excl = long.exclusions
+    if short.exclusions:
+        excl = _canonical_exclusions(atom for atom in short.exclusions + excl if is_prefix(stem, atom[0]))
+    floor = floor_max(T1.floor, T2.floor)
     for side in (long, short):
         if side.stem is stem and side.floor is floor and side.exclusions == excl:
             return side

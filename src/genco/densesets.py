@@ -40,13 +40,13 @@ from .conditions import (
 from .errors import DEFAULT_FUEL, ConfigError, FuelExhausted, WitnessStemMismatch
 from .frozen import Frozen
 from .serialize import (
+    _ten_to,
     build_at,
     check_keys,
     decimal_digits,
     nat,
     nat_list,
     nonempty_list,
-    printable,
     quoted,
     render_seq,
     str_digit_limit,
@@ -116,6 +116,15 @@ class StemPattern(Frozen):
     def distance(self, s: Node) -> int:
         return max(self.deficits(s))
 
+    def met_by(self, s: Node) -> bool:
+        """Whether every deficit of s is 0, found without counting them."""
+        if len(s) < self.min_len:
+            return False
+        for k, need in self.hits:
+            if len(tuple(itertools.islice(filter(k.__le__, s), need))) < need:
+                return False
+        return True
+
     def step_threshold(self) -> int:
         return max((k for k, _ in self.hits), default=0)
 
@@ -130,7 +139,9 @@ class StemPattern(Frozen):
 
 class UserStemsSet(StemBasedDenseSet):
     """Disjunction of stem patterns; a stem is in S when some pattern's
-    requirements are all met."""
+    requirements are all met.  Membership stops at the first pattern met
+    and builds no deficit tuple; `deficits` and `distance` serve only
+    the rank search's classes and the choice of progress step."""
 
     def __init__(self, patterns):
         pats = tuple(patterns)
@@ -141,10 +152,14 @@ class UserStemsSet(StemBasedDenseSet):
     def _best(self, s: Node) -> StemPattern:
         return min(self.patterns, key=lambda p: p.distance(s))
 
+    def _holds(self, s: Node) -> bool:
+        for p in self.patterns:
+            if p.met_by(s):
+                return True
+        return False
+
     def member_witness(self, s: Node) -> HechlerCondition | None:
-        if any(p.distance(s) == 0 for p in self.patterns):
-            return HechlerCondition._trusted(s, (), None)
-        return None
+        return HechlerCondition._trusted(s, (), None) if self._holds(s) else None
 
     def good_successors(self, s: Node):
         # a step clearing the best pattern's largest threshold shrinks
@@ -155,7 +170,7 @@ class UserStemsSet(StemBasedDenseSet):
         return tuple(p.deficits(s) for p in self.patterns)
 
     def member(self, T: HechlerCondition) -> bool:
-        return any(p.distance(T.stem) == 0 for p in self.patterns)
+        return self._holds(T.stem)
 
     def config(self) -> dict:
         return {"type": "user_stems", "patterns": [p.config() for p in self.patterns]}
@@ -344,14 +359,19 @@ def code_step(T: HechlerCondition, A, m: int, fuel: int = DEFAULT_FUEL) -> Hechl
     """Extend the stem by one member of A carrying label m (the least
     legal one), deliberately breaking stem avoidance to record m.  A
     member too long for str(int), which no transcript could hold, raises
-    FuelExhausted."""
+    FuelExhausted.  T's floor and atoms at its stem and the digit limit
+    are read once; each candidate costs its fiber element and a test
+    against each."""
+    s = T.stem
+    floor, banned, limit = T.floor_at(len(s)), T.exclusion_at(s), str_digit_limit()
+    cap = limit and _ten_to(limit)  # the least unprintable member; 0 for no limit
     for k in range(fuel):
         z = eta_fiber_element(A, m, k, fuel)
-        if not printable(z):
+        if cap and z >= cap:
             raise FuelExhausted(
                 f"the label-{m} member has {decimal_digits(z)} digits, past the "
-                f"{str_digit_limit()}-digit limit of str(int)"
+                f"{limit}-digit limit of str(int)"
             )
-        if T.admits_step(T.stem, z):
-            return _restrict(T, T.stem + (z,))
+        if z > floor and z not in banned:
+            return _restrict(T, s + (z,))
     raise FuelExhausted(f"no legal label-{m} member of the help set within {fuel} probes")

@@ -223,6 +223,12 @@ class TestReuse:
         W = HechlerCondition._trusted(self.T.stem, (), None)
         assert meet(W, self.T) is self.T
 
+    def test_plain_shorter_side_adds_nothing(self):
+        # a side with no atoms and no floor, whose stem is a proper
+        # prefix of the other's, is met on either side by returning the other
+        for P in (HechlerCondition((2,)), FULL_TREE):
+            assert meet(P, self.T) is self.T and meet(self.T, P) is self.T
+
     def test_restrict_to_own_stem(self):
         assert _restrict(self.T, self.T.stem) is self.T
         assert restrict(self.T, (2, 3)) == self.T

@@ -6,6 +6,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,23 +16,28 @@ from hypothesis import strategies as st
 from genco import (
     FULL_TREE,
     DominateSet,
+    EventuallyPeriodicSeq,
     Evens,
     FloorRule,
     FuelExhausted,
     HechlerCondition,
     StemHitsSet,
     StemLengthSet,
+    SelfCode,
     StemPattern,
     UserStemsSet,
     WitnessStemMismatch,
     code_step,
+    contains,
     dense_from_config,
+    eta_fiber_element,
     extend_in_A,
     extends,
     extends_A,
     eta,
     rank_bounded,
 )
+from genco import conditions
 from genco.densesets import PruningDenseSet, StemBasedDenseSet
 from genco.serialize import render_seq
 from conftest import random_condition, random_dense, random_help
@@ -206,6 +212,22 @@ class TestExtendInA:
             assert extends_A(R, T, A)
             assert D.member(R) is True
 
+    def test_fuel_must_be_positive(self):
+        with pytest.raises(ValueError, match="^fuel must be positive$"):
+            extend_in_A(FULL_TREE, StemLengthSet(1), EVENS, fuel=0)
+
+    def test_plain_witness_meets_without_atom_or_floor_work(self, monkeypatch):
+        # the witness adds nothing to an atom-free T, so the meet returns
+        # T restricted to the walk's end without merging atoms or floors
+        def refuse(*args):
+            raise AssertionError("called on a meet that adds nothing")
+
+        T = HechlerCondition((3,), (), FloorRule((), 1, 2))
+        monkeypatch.setattr(conditions, "_canonical_exclusions", refuse)
+        monkeypatch.setattr(conditions, "floor_max", refuse)
+        R = extend_in_A(T, StemLengthSet(4), EVENS)
+        assert R.stem == (3, 5, 5, 7) and R.floor is T.floor and R.exclusions == ()
+
     def test_plain_mode_takes_least_steps(self):
         R = extend_in_A(FULL_TREE, StemLengthSet(2), None)
         assert R.stem == (0, 0)
@@ -336,9 +358,32 @@ class TestCodeStep:
             assert R.stem[:-1] == T.stem and len(R.stem) == len(T.stem) + 1
             z = R.stem[-1]
             assert A.member(z) and eta(A, z) == m
+            # z is the least label-m member that T admits at its stem
+            for k in itertools.count():
+                w = eta_fiber_element(A, m, k)
+                if w == z:
+                    break
+                assert w < z and not contains(T, T.stem + (w,))
             assert extends(R, T)
             ans = extends_A(R, T, A)
             assert not ans and ans.reason == "stem-avoidance"
+
+
+    def test_member_past_the_digit_limit(self):
+        # abar = 1, 0, 2, 2, ...: the least label-9 member has 4687 digits
+        A = SelfCode(EventuallyPeriodicSeq((1, 0), (2,)))
+        message = "^the label-9 member has 4687 digits, past the 4300-digit limit of str\\(int\\)$"
+        with pytest.raises(FuelExhausted, match=message):
+            code_step(FULL_TREE, A, 9)
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no str(int) digit limit to lift")
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            z = code_step(FULL_TREE, A, 9).stem[-1]
+            assert len(str(z)) == 4687 and eta(A, z) == 9
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMember:
@@ -413,6 +458,24 @@ class TestStemPattern:
         D = UserStemsSet([p, StemPattern(1, ((3, 2),))])
         assert D.node_class(s) == tuple(oracles.stem_deficits(q, s) for q in D.patterns)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4), st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3)), max_size=3)
+            ).filter(lambda p: p[0] or p[1]),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.integers(0, 12), max_size=8),
+    )
+    def test_membership_is_some_pattern_without_deficit(self, patterns, stem):
+        D = UserStemsSet(StemPattern(min_len, tuple(hits)) for min_len, hits in patterns)
+        s = tuple(stem)
+        want = any(not any(oracles.stem_deficits(p, s)) for p in D.patterns)
+        assert D.member(HechlerCondition(s)) is want
+        assert (D.member_witness(s) is not None) is want
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 10), max_size=10), min_size=1, max_size=6))
     def test_built_in_stem_sets_match_their_predicates(self, stems):
@@ -454,6 +517,15 @@ class TestConfigs:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             dense_from_config({"type": "nope"})
+
+    @pytest.mark.parametrize("make, arg, message", [
+        (UserStemsSet, [], "at least one pattern is required"),
+        (StemLengthSet, -1, "length bound must be a natural"),
+        (StemHitsSet, -1, "threshold must be a natural"),
+    ], ids=["user_stems", "stem_length", "stem_hits"])
+    def test_constructors_reject_what_no_config_holds(self, make, arg, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(arg)
 
     def test_stem_pattern_rejects_what_its_config_rejects(self):
         # a count of 0 is met by every stem, so the set would hold every
