@@ -21,9 +21,9 @@ from genco import (
     FloorRule,
     FuelExhausted,
     HechlerCondition,
+    SelfCode,
     StemHitsSet,
     StemLengthSet,
-    SelfCode,
     StemPattern,
     UserStemsSet,
     WitnessStemMismatch,
@@ -368,17 +368,17 @@ class TestCodeStep:
             ans = extends_A(R, T, A)
             assert not ans and ans.reason == "stem-avoidance"
 
-
     def test_member_past_the_digit_limit(self):
         # abar = 1, 0, 2, 2, ...: the least label-9 member has 4687 digits
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no str(int) digit limit")
         A = SelfCode(EventuallyPeriodicSeq((1, 0), (2,)))
         message = "^the label-9 member has 4687 digits, past the 4300-digit limit of str\\(int\\)$"
-        with pytest.raises(FuelExhausted, match=message):
-            code_step(FULL_TREE, A, 9)
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this Python has no str(int) digit limit to lift")
         limit = sys.get_int_max_str_digits()
         try:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(FuelExhausted, match=message):
+                code_step(FULL_TREE, A, 9)
             sys.set_int_max_str_digits(0)
             z = code_step(FULL_TREE, A, 9).stem[-1]
             assert len(str(z)) == 4687 and eta(A, z) == 9
